@@ -39,11 +39,17 @@ FLOW_GRAPH ?= flow-graph.json
 RACESAN_OUT ?= racesan-report.json
 RACESAN_K ?= 8
 
-.PHONY: test lint analyze flow detsan racesan ci faults-smoke faults-explore faults-recovery faults-smartbft faults-overload bench-smoke bench-check bench-baseline bench-full bench-kernel bench-kernel-baseline bench-report bench-sweep
+.PHONY: test perfbench-test lint analyze flow detsan racesan ci faults-smoke faults-explore faults-recovery faults-smartbft faults-overload bench-smoke bench-check bench-baseline bench-full bench-kernel bench-kernel-baseline bench-report bench-sweep
 
 ## tier-1: the whole test suite (includes the 25-seed explorer run)
 test:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest -x -q
+
+## the repository benchmark's own tests (perfbench/tests sits outside
+## tier-1's testpaths; about 40 s) -- catches renamed entry points the
+## traced benchmark wraps
+perfbench-test:
+	$(PYTHON) -m pytest perfbench/tests -q
 
 ## static checks: real ruff when installed, AST fallback otherwise
 ## (config in pyproject.toml; see tools/lint.py)
@@ -75,7 +81,7 @@ racesan:
 		--permutations $(RACESAN_K) --json $(RACESAN_OUT)
 
 ## everything CI's per-commit job runs, in order
-ci: lint analyze flow test faults-smoke faults-recovery faults-smartbft faults-overload bench-smoke bench-check bench-kernel bench-report
+ci: lint analyze flow test perfbench-test faults-smoke faults-recovery faults-smartbft faults-overload bench-smoke bench-check bench-kernel bench-report
 
 ## quick confidence check: 5 explorer seeds (runs in seconds)
 faults-smoke:

@@ -360,17 +360,10 @@ def check_ordering_service(
     expect_live: bool = True,
     vote_recorder: Optional[VoteRecorder] = None,
 ) -> List[Violation]:
-    """Run every applicable invariant against an
-    :class:`~repro.ordering.service.OrderingService` deployment."""
+    """Run every applicable invariant against a
+    :class:`~repro.ordering.service.BFTService` deployment."""
     violations: List[Violation] = []
-    violations += check_log_agreement(
-        {
-            replica.replica_id: {
-                cid: batch_hash(cid, batch) for cid, batch in replica.log.entries
-            }
-            for replica in service.replicas
-        }
-    )
+    violations += check_log_agreement(replica_log_digests(service.replicas))
     violations += check_durable_logs(service.replicas)
     if recorder is not None:
         violations += recorder.check()

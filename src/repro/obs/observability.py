@@ -129,7 +129,9 @@ class Observability:
             node.obs = self
         for frontend in service.frontends:
             frontend.obs = self
-            frontend.proxy.obs = self
+            proxy = getattr(frontend, "proxy", None)
+            if proxy is not None:
+                proxy.obs = self
             admission = getattr(frontend, "admission", None)
             if admission is not None:
                 # queue-depth / shed-count gauges for the backpressure

@@ -13,11 +13,14 @@ Frontends are part of the *peer* trust domain.  Each frontend:
    signatures itself and ``f+1`` matching copies suffice (footnote 8);
 3. relays trusted blocks to the committing peers attached to it and
    records per-envelope ordering latency (what Figures 8 and 9 plot).
+
+Everything but the acceptance rule (step 2) and the transport (step 1)
+lives in :class:`FrontendCore`, which the SmartBFT frontend
+(:class:`repro.smart2.frontend.QuorumFrontend`) shares.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.crypto.keys import KeyRegistry
@@ -32,39 +35,34 @@ from repro.smart.proxy import ServiceProxy
 from repro.smart.view import byzantine_majority_size, one_correct_size
 
 
-@dataclass
-class _BlockCollector:
-    """Copies of one block number received from distinct nodes."""
+class FrontendCore:
+    """What every ordering-service frontend shares.
 
-    copies: Dict[bytes, Dict[str, Block]]  # header digest -> sender -> copy
-    delivered: bool = False
-
-
-class Frontend:
-    """One ordering-service frontend."""
+    The ingress gate (AbsoluteMaxBytes ceiling and admission control),
+    the in-order release of accepted blocks, the admission-window
+    bookkeeping and the delivery tail (peers, callbacks, stats, ledger
+    digest).  A backend frontend adds its transport in ``submit`` and
+    its acceptance rule in :meth:`_copy_valid` / :meth:`_accept_copy`.
+    """
 
     def __init__(
         self,
         sim: Simulator,
         network: Network,
-        name: str,
-        proxy: ServiceProxy,
+        name: object,
         f: int,
-        registry: Optional[KeyRegistry] = None,
-        orderer_names: Optional[Set[str]] = None,
-        verify_signatures: bool = False,
-        stats: Optional[StatsRegistry] = None,
-        max_envelope_bytes: Optional[Union[int, Mapping[str, int]]] = None,
-        admission: Optional[AdmissionController] = None,
+        registry: Optional[KeyRegistry],
+        orderer_names: Set[str],
+        stats: Optional[StatsRegistry],
+        max_envelope_bytes: Optional[Union[int, Mapping[str, int]]],
+        admission: Optional[AdmissionController],
     ):
         self.sim = sim
         self.network = network
         self.name = name
-        self.proxy = proxy
         self.f = f
         self.registry = registry
-        self.orderer_names = orderer_names or set()
-        self.verify_signatures = verify_signatures
+        self.orderer_names = orderer_names
         self.stats = stats or StatsRegistry()
         #: Fabric's AbsoluteMaxBytes ceiling -- one int for every
         #: channel or a per-channel mapping; None disables the check
@@ -83,9 +81,8 @@ class Frontend:
         self._latency_recorder = None
         self.peers: List[object] = []
         self.on_block: List[Callable[[Block], None]] = []
-        self._collectors: Dict[Tuple[str, int], _BlockCollector] = {}
         self._next_expected: Dict[str, int] = {}
-        #: blocks fully matched but waiting for their predecessors
+        #: accepted blocks waiting for their predecessors
         self._ready: Dict[str, Dict[int, Block]] = {}
         self.envelopes_submitted = 0
         self.blocks_delivered = 0
@@ -95,32 +92,22 @@ class Frontend:
         #: optional repro.obs.Observability hub (attached externally)
         self.obs = None
 
-    # ------------------------------------------------------------------
-    @property
-    def matching_copies_needed(self) -> int:
-        """2f+1 without signature verification, f+1 with (footnote 8)."""
-        if self.verify_signatures:
-            return one_correct_size(self.f)
-        return byzantine_majority_size(self.f)
-
     def attach_peer(self, peer_id: object) -> None:
         if peer_id not in self.peers:
             self.peers.append(peer_id)
 
     # ------------------------------------------------------------------
-    # client side: relay envelopes into the ordering cluster
+    # client side: the ingress gate every transport runs first
     # ------------------------------------------------------------------
-    def submit(self, envelope: Envelope) -> Optional[Rejected]:
-        """Relay an envelope to the ordering cluster (fire-and-forget).
+    def _gate(self, envelope: Envelope) -> Optional[Rejected]:
+        """Check one envelope at ingress; ``None`` means relay it.
 
-        Without an admission controller this raises
-        :class:`~repro.fabric.envelope.OversizedPayloadError` when the
-        payload exceeds the channel's AbsoluteMaxBytes ceiling --
-        identically for real-bytes payloads and zero-copy handles --
-        and returns ``None`` otherwise.  With admission control
-        attached every refusal (oversized, rate-limited, window-full)
-        becomes an explicit :class:`Rejected` verdict instead, and
-        ``None`` means the envelope was admitted and relayed.
+        Without an admission controller an envelope over the channel's
+        AbsoluteMaxBytes ceiling raises
+        :class:`~repro.fabric.envelope.OversizedPayloadError` --
+        identically for real-bytes payloads and zero-copy handles.
+        With admission control every refusal (oversized, rate-limited,
+        window-full) becomes an explicit :class:`Rejected` verdict.
         """
         admission = self.admission
         ceiling = self.max_envelope_bytes
@@ -146,7 +133,6 @@ class Frontend:
         self.envelopes_submitted += 1
         if self.obs is not None:
             self.obs.on_submit(self.name, envelope, self.sim.now)
-        self.proxy.invoke_async(envelope, size_bytes=envelope.payload_size)
         return None
 
     def _reject(self, envelope: Envelope, verdict: Rejected) -> Rejected:
@@ -157,99 +143,47 @@ class Frontend:
         return verdict
 
     # ------------------------------------------------------------------
-    # network delivery
+    # delivery side: acceptance hooks, in-order release, delivery tail
     # ------------------------------------------------------------------
-    def deliver(self, src, message) -> None:
-        if isinstance(message, SubmitEnvelope):
-            self.submit(message.envelope)
-        elif isinstance(message, BlockDelivery):
-            self._on_block_copy(message.source, message.block)
-        else:
-            # anything else (e.g. BFT-SMaRt replies when the deployment
-            # keeps them on) belongs to the embedded proxy
-            self.proxy.deliver(src, message)
-
     def _on_block_copy(self, source: str, block: Block) -> None:
         if self.orderer_names and source not in self.orderer_names:
             return
-        if self.verify_signatures and not self._signature_ok(source, block):
+        if not self._copy_valid(source, block):
             return
         channel = block.channel_id
         number = block.header.number
         if self.obs is not None:
             self.obs.on_block_copy(self.name, channel, number, self.sim.now)
-        expected = self._next_expected.get(channel, 0)
-        if number < expected:
+        if number < self._next_expected.get(channel, 0):
             return  # already delivered
-        key = (channel, number)
-        collector = self._collectors.get(key)
-        if collector is None:
-            collector = _BlockCollector(copies={})
-            self._collectors[key] = collector
-        digest = block.header.digest()
-        collector.copies.setdefault(digest, {})[source] = block
-        if collector.delivered:
+        accepted = self._accept_copy(source, block)
+        if accepted is None:
             return
-        copies = collector.copies[digest]
-        if len(copies) >= self.matching_copies_needed:
-            collector.delivered = True
-            self._stage_block(channel, number, copies)
-
-    def _signature_ok(self, source: str, block: Block) -> bool:
-        if self.registry is None or source not in self.registry:
-            return False
-        signature = block.signatures.get(source)
-        if signature is None:
-            return False
-        verifier = self.registry.verifier_of(source)
-        return verifier.verify(block.header.signing_payload(), signature)
-
-    def _stage_block(
-        self, channel: str, number: int, copies: Dict[str, Block]
-    ) -> None:
-        """A block gathered enough matching copies: merge signatures
-        (so peers get at least f+1 valid ones) and deliver it as soon
-        as every predecessor has been delivered."""
-        merged: Optional[Block] = None
-        for _, copy in sorted(copies.items()):
-            if merged is None:
-                merged = Block(
-                    header=copy.header,
-                    envelopes=copy.envelopes,
-                    signatures=dict(copy.signatures),
-                    channel_id=copy.channel_id,
-                )
-            else:
-                merged.signatures.update(copy.signatures)
-        assert merged is not None
-        self._collectors.pop((channel, number), None)
-        self._ready.setdefault(channel, {})[number] = merged
-        ready = self._ready[channel]
+        # a block ahead of a predecessor (dropped in flight, or still
+        # short of matching copies) waits here until the gap fills
+        ready = self._ready.setdefault(channel, {})
+        ready[number] = accepted
         while self._next_expected.get(channel, 0) in ready:
             next_number = self._next_expected.get(channel, 0)
-            block = ready.pop(next_number)
+            accepted = ready.pop(next_number)
             self._next_expected[channel] = next_number + 1
-            self._deliver_block(block)
+            self._deliver_block(accepted)
 
-    def ledger_digest(self, channel: Optional[str] = None) -> bytes:
-        """Running hash over the delivered block-digest chain.
+    def _copy_valid(self, source: str, block: Block) -> bool:
+        """May this copy count at all? (checked before the obs hook)"""
+        raise NotImplementedError
 
-        Two frontends that delivered the same blocks in the same order
-        have equal digests -- the agreement invariant checked by
-        :mod:`repro.faults.invariants`.
-        """
-        from repro.crypto.hashing import sha256
+    def _accept_copy(self, source: str, block: Block) -> Optional[Block]:
+        """The block to release once its predecessors are delivered,
+        or ``None`` while the acceptance rule is not yet met (default:
+        every valid copy is the block itself)."""
+        return block
 
-        channels = (
-            [channel] if channel is not None else sorted(self.delivered_digests)
-        )
-        acc = b""
-        for name in channels:
-            for digest in self.delivered_digests.get(name, []):
-                acc = sha256("ledger", acc, name, digest)
-        return acc
+    def _on_delivered(self, block: Block) -> None:
+        """Backend bookkeeping for a block about to be delivered."""
 
     def _deliver_block(self, block: Block) -> None:
+        self._on_delivered(block)
         if self.admission is not None and self._window_pending:
             freed = 0
             for envelope in block.envelopes:
@@ -268,6 +202,24 @@ class Frontend:
         for callback in self.on_block:
             callback(block)
 
+    def ledger_digest(self, channel: Optional[str] = None) -> bytes:
+        """Running hash over the delivered block-digest chain.
+
+        Two frontends that delivered the same blocks in the same order
+        have equal digests, on either backend -- the agreement
+        invariant checked by :mod:`repro.faults.invariants`.
+        """
+        from repro.crypto.hashing import sha256
+
+        channels = (
+            [channel] if channel is not None else sorted(self.delivered_digests)
+        )
+        acc = b""
+        for name in channels:
+            for digest in self.delivered_digests.get(name, []):
+                acc = sha256("ledger", acc, name, digest)
+        return acc
+
     def _record_stats(self, block: Block) -> None:
         now = self.sim.now
         blocks = self._blocks_meter
@@ -281,3 +233,103 @@ class Frontend:
         for envelope in block.envelopes:
             if envelope.create_time is not None:
                 latency.record(now - envelope.create_time)
+
+
+class Frontend(FrontendCore):
+    """One frontend of the paper's BFT-SMaRt ordering service."""
+
+    def __init__(
+        self,
+        sim: Simulator,
+        network: Network,
+        name: str,
+        proxy: ServiceProxy,
+        f: int,
+        registry: Optional[KeyRegistry] = None,
+        orderer_names: Optional[Set[str]] = None,
+        verify_signatures: bool = False,
+        stats: Optional[StatsRegistry] = None,
+        max_envelope_bytes: Optional[Union[int, Mapping[str, int]]] = None,
+        admission: Optional[AdmissionController] = None,
+    ):
+        super().__init__(
+            sim,
+            network,
+            name,
+            f,
+            registry,
+            orderer_names or set(),
+            stats,
+            max_envelope_bytes,
+            admission,
+        )
+        self.proxy = proxy
+        self.verify_signatures = verify_signatures
+        #: (channel, number) -> header digest -> sender -> copy
+        self._collectors: Dict[Tuple[str, int], Dict[bytes, Dict[str, Block]]] = {}
+
+    @property
+    def matching_copies_needed(self) -> int:
+        """2f+1 without signature verification, f+1 with (footnote 8)."""
+        if self.verify_signatures:
+            return one_correct_size(self.f)
+        return byzantine_majority_size(self.f)
+
+    def submit(self, envelope: Envelope) -> Optional[Rejected]:
+        """Relay an envelope to the ordering cluster (fire-and-forget).
+
+        Returns ``None`` once the envelope is relayed, or the
+        :class:`Rejected` verdict of the admission controller; see
+        :meth:`FrontendCore._gate` for the oversized-payload contract.
+        """
+        verdict = self._gate(envelope)
+        if verdict is None:
+            self.proxy.invoke_async(envelope, size_bytes=envelope.payload_size)
+        return verdict
+
+    def deliver(self, src, message) -> None:
+        if isinstance(message, SubmitEnvelope):
+            self.submit(message.envelope)
+        elif isinstance(message, BlockDelivery):
+            self._on_block_copy(message.source, message.block)
+        else:
+            # anything else (e.g. BFT-SMaRt replies when the deployment
+            # keeps them on) belongs to the embedded proxy
+            self.proxy.deliver(src, message)
+
+    # ------------------------------------------------------------------
+    # acceptance rule: 2f+1 (or f+1 verified) matching copies, merged
+    # ------------------------------------------------------------------
+    def _copy_valid(self, source: str, block: Block) -> bool:
+        if not self.verify_signatures:
+            return True
+        if self.registry is None or source not in self.registry:
+            return False
+        signature = block.signatures.get(source)
+        if signature is None:
+            return False
+        verifier = self.registry.verifier_of(source)
+        return verifier.verify(block.header.signing_payload(), signature)
+
+    def _accept_copy(self, source: str, block: Block) -> Optional[Block]:
+        """Count the copy; once enough match, merge their signatures
+        (so peers get at least f+1 valid ones)."""
+        key = (block.channel_id, block.header.number)
+        copies = self._collectors.setdefault(key, {}).setdefault(
+            block.header.digest(), {}
+        )
+        copies[source] = block
+        if len(copies) < self.matching_copies_needed:
+            return None
+        del self._collectors[key]
+        ordered = [copy for _, copy in sorted(copies.items())]
+        signatures: Dict[str, bytes] = {}
+        for copy in ordered:
+            signatures.update(copy.signatures)
+        first = ordered[0]
+        return Block(
+            header=first.header,
+            envelopes=first.envelopes,
+            signatures=signatures,
+            channel_id=first.channel_id,
+        )

@@ -10,14 +10,14 @@ and the benchmark harness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Type, TypeVar
 
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import SimulatedECDSA
 from repro.fabric.channel import ChannelConfig
 from repro.fabric.envelope import Envelope
 from repro.ordering.admission import AdmissionConfig, AdmissionController
-from repro.ordering.frontend import Frontend
+from repro.ordering.frontend import Frontend, FrontendCore
 from repro.ordering.node import BFTOrderingNode, TimeToCut
 from repro.ordering.wal_codec import decode_value, encode_value
 from repro.sim.core import Simulator
@@ -25,7 +25,7 @@ from repro.sim.cpu import CPU
 from repro.sim.monitor import StatsRegistry
 from repro.sim.network import ConstantLatency, LatencyModel, Network
 from repro.sim.randomness import RandomStreams
-from repro.sim.storage import DEFAULT_FSYNC_LATENCY, SECTOR_SIZE, SimDisk
+from repro.sim.storage import DEFAULT_FSYNC_LATENCY, SimDisk
 from repro.smart.messages import ClientRequest
 from repro.smart.proxy import ServiceProxy
 from repro.smart.replica import ReplicaConfig, ServiceReplica, default_replier
@@ -86,7 +86,6 @@ class OrderingServiceConfig:
     #: enabling crash-recovery with amnesia (see docs/RECOVERY.md)
     durable_wal: bool = False
     fsync_latency: float = DEFAULT_FSYNC_LATENCY
-    sector_size: int = SECTOR_SIZE
     seed: int = 0
 
     @property
@@ -96,9 +95,7 @@ class OrderingServiceConfig:
 
 def make_ordering_wal(config: OrderingServiceConfig) -> ConsensusWAL:
     """A per-replica consensus WAL wired to the ordering-layer codec."""
-    disk = SimDisk(
-        fsync_latency=config.fsync_latency, sector_size=config.sector_size
-    )
+    disk = SimDisk(fsync_latency=config.fsync_latency)
     return ConsensusWAL(
         disk,
         encode_op=encode_value,
@@ -118,44 +115,55 @@ def ordering_replier(replica, request: ClientRequest, result, regency, tentative
     default_replier(replica, request, result, regency, tentative)
 
 
+def make_node_cpu(sim: Simulator, config: OrderingServiceConfig) -> Optional[CPU]:
+    """One ordering node's machine: a multicore CPU, or None when the
+    deployment disables CPU cost accounting."""
+    if config.physical_cores is None:
+        return None
+    cpu = CPU(
+        sim,
+        physical_cores=config.physical_cores,
+        hardware_threads=config.hardware_threads,
+    )
+    if config.smart_cpu_fraction > 0:
+        cpu.set_background_load(config.smart_cpu_fraction)
+    return cpu
+
+
+def channel_map(config: OrderingServiceConfig) -> Dict[str, ChannelConfig]:
+    """Channel id -> configuration for every channel the service orders."""
+    channels = {config.channel.channel_id: config.channel}
+    for extra in config.extra_channels:
+        if extra.channel_id in channels:
+            raise ValueError(f"duplicate channel id {extra.channel_id!r}")
+        channels[extra.channel_id] = extra
+    return channels
+
+
 @dataclass
-class OrderingService:
-    """A fully wired deployment."""
+class BFTService:
+    """A fully wired BFT ordering deployment, whichever the backend.
+
+    The probe surface below is what benchmarks, the fault explorer and
+    the conformance battery drive.  On SmartBFT ``replicas`` and
+    ``nodes`` name the same objects (a node *is* its own replica).
+    """
 
     sim: Simulator
     network: Network
     config: OrderingServiceConfig
     registry: KeyRegistry
     view: View
-    replicas: List[ServiceReplica]
-    nodes: List[BFTOrderingNode]
-    frontends: List[Frontend]
+    replicas: List[Any]
+    nodes: List[Any]
+    frontends: List[FrontendCore]
     stats: StatsRegistry
     cpus: List[Optional[CPU]]
     #: optional repro.obs.Observability hub wired through every component
     observability: Optional[Any] = None
 
-    @property
-    def leader_node(self) -> BFTOrderingNode:
-        """Ordering node 0 -- where the paper measures throughput."""
-        return self.nodes[0]
-
     def submit(self, envelope: Envelope, frontend_index: int = 0) -> None:
         self.frontends[frontend_index].submit(envelope)
-
-    def admin_proxy(self, admin_index: int = 0, site: Optional[str] = None) -> ServiceProxy:
-        """A proxy for administrative (reconfiguration) commands."""
-        proxy = ServiceProxy(
-            self.sim,
-            self.network,
-            ADMIN_ID_BASE + admin_index,
-            self.view,
-            invoke_timeout=self.config.request_timeout * 2,
-            register=False,
-        )
-        admin_site = site or (self.config.node_sites or ["lan"])[0]
-        self.network.register(ADMIN_ID_BASE + admin_index, proxy, site=admin_site)
-        return proxy
 
     def crash_node(self, index: int, amnesia: bool = False) -> None:
         self.replicas[index].crash(amnesia=amnesia)
@@ -194,6 +202,133 @@ class OrderingService:
     def run(self, duration: float) -> None:
         self.sim.run(until=self.sim.now + duration)
 
+
+ServiceT = TypeVar("ServiceT", bound=BFTService)
+
+
+class ServiceScaffold:
+    """What both BFT builders stand up around their own node and
+    frontend types: network, stats, key registry, view, sites, channels,
+    per-node CPUs (no side effects, so built up front) and the
+    frontends' ingress gate."""
+
+    def __init__(self, config: OrderingServiceConfig, sim: Optional[Simulator]):
+        self.config = config
+        self.sim = sim = sim or Simulator()
+        self.streams = streams = RandomStreams(config.seed)
+        latency = config.latency or ConstantLatency(0.0001)
+        self.network = Network(
+            sim, latency, default_bandwidth_bps=config.bandwidth_bps, streams=streams
+        )
+        self.stats = StatsRegistry()
+        scheme = SimulatedECDSA()
+        if config.sign_cost is not None:
+            scheme.sign_cost = config.sign_cost
+        self.registry = KeyRegistry(scheme=scheme, rng=streams.stream("keys"))
+
+        n = config.n
+        processes = tuple(range(n))
+        weights = binary_weights(processes, config.f, config.delta, config.vmax_holders)
+        self.view = View(
+            view_id=0,
+            processes=processes,
+            f=config.f,
+            delta=config.delta,
+            weights=weights,
+        )
+        self.node_sites = list(config.node_sites or ["lan"] * n)
+        self.frontend_sites = list(
+            config.frontend_sites or ["lan"] * config.num_frontends
+        )
+        if len(self.node_sites) != n:
+            raise ValueError(f"need {n} node sites, got {len(self.node_sites)}")
+        if len(self.frontend_sites) != config.num_frontends:
+            raise ValueError(
+                f"need {config.num_frontends} frontend sites, "
+                f"got {len(self.frontend_sites)}"
+            )
+        self.channels = channel_map(config)
+        self.cpus = [make_node_cpu(sim, config) for _ in range(n)]
+
+    def frontend_gate(self) -> Dict[str, Any]:
+        """Per-frontend AbsoluteMaxBytes ceilings and admission control."""
+        config = self.config
+        return {
+            "max_envelope_bytes": {
+                channel_id: cfg.absolute_max_bytes
+                for channel_id, cfg in self.channels.items()
+            },
+            "admission": (
+                AdmissionController(config.admission)
+                if config.admission is not None
+                else None
+            ),
+        }
+
+    def add_frontends(
+        self,
+        make: Callable[[int], FrontendCore],
+        on_registered: Callable[[FrontendCore], None],
+    ) -> List[FrontendCore]:
+        frontends = []
+        for j in range(self.config.num_frontends):
+            client_id = FRONTEND_ID_BASE + j
+            frontend = make(client_id)
+            self.network.register(client_id, frontend, site=self.frontend_sites[j])
+            on_registered(frontend)
+            frontends.append(frontend)
+        return frontends
+
+    def finish(
+        self,
+        service_cls: Type[ServiceT],
+        replicas: List[Any],
+        nodes: List[Any],
+        frontends: List[FrontendCore],
+        observability: Optional[Any],
+    ) -> ServiceT:
+        service = service_cls(
+            sim=self.sim,
+            network=self.network,
+            config=self.config,
+            registry=self.registry,
+            view=self.view,
+            replicas=replicas,
+            nodes=nodes,
+            frontends=frontends,
+            stats=self.stats,
+            cpus=self.cpus,
+            observability=observability,
+        )
+        if observability is not None:
+            observability.attach(service)
+        return service
+
+
+@dataclass
+class OrderingService(BFTService):
+    """The paper's deployment: BFT-SMaRt replicas and copy-matching
+    frontends, reconfigurable at runtime."""
+
+    @property
+    def leader_node(self) -> BFTOrderingNode:
+        """Ordering node 0 -- where the paper measures throughput."""
+        return self.nodes[0]
+
+    def admin_proxy(self, admin_index: int = 0, site: Optional[str] = None) -> ServiceProxy:
+        """A proxy for administrative (reconfiguration) commands."""
+        proxy = ServiceProxy(
+            self.sim,
+            self.network,
+            ADMIN_ID_BASE + admin_index,
+            self.view,
+            invoke_timeout=self.config.request_timeout * 2,
+            register=False,
+        )
+        admin_site = site or (self.config.node_sites or ["lan"])[0]
+        self.network.register(ADMIN_ID_BASE + admin_index, proxy, site=admin_site)
+        return proxy
+
     # ------------------------------------------------------------------
     # runtime reconfiguration (paper §5.2)
     # ------------------------------------------------------------------
@@ -211,27 +346,15 @@ class OrderingService:
         from repro.smart.reconfiguration import ReconfigurationClient
 
         index = len(self.replicas)
-        cpu: Optional[CPU] = None
-        if self.config.physical_cores is not None:
-            cpu = CPU(
-                self.sim,
-                physical_cores=self.config.physical_cores,
-                hardware_threads=self.config.hardware_threads,
-            )
-            if self.config.smart_cpu_fraction > 0:
-                cpu.set_background_load(self.config.smart_cpu_fraction)
+        cpu = make_node_cpu(self.sim, self.config)
         self.cpus.append(cpu)
         identity = self.registry.enroll(f"orderer{index}", org=f"ordererorg{index}")
-        channels = {
-            self.config.channel.channel_id: self.config.channel,
-            **{c.channel_id: c for c in self.config.extra_channels},
-        }
         node = BFTOrderingNode(
             sim=self.sim,
             network=self.network,
             name=identity.name,
             identity=identity,
-            channels=channels,
+            channels=channel_map(self.config),
             cpu=cpu,
             signing_workers=self.config.signing_workers,
             sign_cost=self.config.sign_cost,
@@ -279,7 +402,7 @@ def build_ordering_service(
     config: Optional[OrderingServiceConfig] = None,
     sim: Optional[Simulator] = None,
     observability: Optional[Any] = None,
-) -> OrderingService:
+) -> BFTService:
     """Stand up a complete ordering service on a fresh simulator.
 
     ``observability`` optionally receives a
@@ -296,32 +419,9 @@ def build_ordering_service(
         raise ValueError(
             f"unknown orderer {config.orderer!r}; expected 'bftsmart' or 'smartbft'"
         )
-    sim = sim or Simulator()
-    streams = RandomStreams(config.seed)
-    latency = config.latency or ConstantLatency(0.0001)
-    network = Network(
-        sim, latency, default_bandwidth_bps=config.bandwidth_bps, streams=streams
-    )
-    stats = StatsRegistry()
-    scheme = SimulatedECDSA()
-    if config.sign_cost is not None:
-        scheme.sign_cost = config.sign_cost
-    registry = KeyRegistry(scheme=scheme, rng=streams.stream("keys"))
-
-    n = config.n
-    processes = tuple(range(n))
-    weights = binary_weights(processes, config.f, config.delta, config.vmax_holders)
-    view = View(
-        view_id=0, processes=processes, f=config.f, delta=config.delta, weights=weights
-    )
-    node_sites = list(config.node_sites or ["lan"] * n)
-    frontend_sites = list(config.frontend_sites or ["lan"] * config.num_frontends)
-    if len(node_sites) != n:
-        raise ValueError(f"need {n} node sites, got {len(node_sites)}")
-    if len(frontend_sites) != config.num_frontends:
-        raise ValueError(
-            f"need {config.num_frontends} frontend sites, got {len(frontend_sites)}"
-        )
+    scaffold = ServiceScaffold(config, sim)
+    sim, network, view = scaffold.sim, scaffold.network, scaffold.view
+    node_sites = scaffold.node_sites
 
     replica_config = ReplicaConfig(
         max_batch=config.max_batch,
@@ -333,34 +433,18 @@ def build_ordering_service(
     # ordering nodes: CPU + identity + app + replica, one per machine
     nodes: List[BFTOrderingNode] = []
     replicas: List[ServiceReplica] = []
-    cpus: List[Optional[CPU]] = []
-    channels = {config.channel.channel_id: config.channel}
-    for extra in config.extra_channels:
-        if extra.channel_id in channels:
-            raise ValueError(f"duplicate channel id {extra.channel_id!r}")
-        channels[extra.channel_id] = extra
-    for i in range(n):
-        cpu: Optional[CPU] = None
-        if config.physical_cores is not None:
-            cpu = CPU(
-                sim,
-                physical_cores=config.physical_cores,
-                hardware_threads=config.hardware_threads,
-            )
-            if config.smart_cpu_fraction > 0:
-                cpu.set_background_load(config.smart_cpu_fraction)
-        cpus.append(cpu)
-        identity = registry.enroll(f"orderer{i}", org=f"ordererorg{i}")
+    for i in range(config.n):
+        identity = scaffold.registry.enroll(f"orderer{i}", org=f"ordererorg{i}")
         node = BFTOrderingNode(
             sim=sim,
             network=network,
             name=identity.name,
             identity=identity,
-            channels=channels,
-            cpu=cpu,
+            channels=scaffold.channels,
+            cpu=scaffold.cpus[i],
             signing_workers=config.signing_workers,
             sign_cost=config.sign_cost,
-            stats=stats,
+            stats=scaffold.stats,
             double_sign=config.double_sign,
             net_id=i,
         )
@@ -391,11 +475,9 @@ def build_ordering_service(
                 lambda ttc, proxy=ttc_proxy: proxy.invoke_async(ttc, size_bytes=24)
             )
 
-    # frontends
-    frontends: List[Frontend] = []
     orderer_names = {node.name for node in nodes}
-    for j in range(config.num_frontends):
-        client_id = FRONTEND_ID_BASE + j
+
+    def make_frontend(client_id: int) -> Frontend:
         proxy = ServiceProxy(
             sim,
             network,
@@ -405,46 +487,24 @@ def build_ordering_service(
             register=False,
             # retry backoff jitter comes from the deployment's seeded
             # streams -- never ambient randomness (DET002)
-            rng=streams.stream(f"proxy-backoff/{client_id}"),
+            rng=scaffold.streams.stream(f"proxy-backoff/{client_id}"),
         )
-        frontend = Frontend(
+        return Frontend(
             sim=sim,
             network=network,
             name=client_id,
             proxy=proxy,
             f=config.f,
-            registry=registry,
+            registry=scaffold.registry,
             orderer_names=orderer_names,
             verify_signatures=config.verify_block_signatures,
-            stats=stats,
-            max_envelope_bytes={
-                channel_id: cfg.absolute_max_bytes
-                for channel_id, cfg in channels.items()
-            },
-            admission=(
-                AdmissionController(config.admission)
-                if config.admission is not None
-                else None
-            ),
+            stats=scaffold.stats,
+            **scaffold.frontend_gate(),
         )
-        network.register(client_id, frontend, site=frontend_sites[j])
-        for node in nodes:
-            node.register_frontend(client_id)
-        frontends.append(frontend)
 
-    service = OrderingService(
-        sim=sim,
-        network=network,
-        config=config,
-        registry=registry,
-        view=view,
-        replicas=replicas,
-        nodes=nodes,
-        frontends=frontends,
-        stats=stats,
-        cpus=cpus,
-        observability=observability,
-    )
-    if observability is not None:
-        observability.attach(service)
-    return service
+    def register_with_nodes(frontend: FrontendCore) -> None:
+        for node in nodes:
+            node.register_frontend(frontend.name)
+
+    frontends = scaffold.add_frontends(make_frontend, register_with_nodes)
+    return scaffold.finish(OrderingService, replicas, nodes, frontends, observability)

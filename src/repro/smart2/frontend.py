@@ -17,13 +17,14 @@ consensus sequence number).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.crypto.keys import KeyRegistry
 from repro.fabric.api import BlockDelivery, SubmitEnvelope
 from repro.fabric.block import Block
-from repro.fabric.envelope import Envelope, check_payload_size, payload_length
+from repro.fabric.envelope import Envelope
 from repro.ordering.admission import AdmissionController, Rejected
+from repro.ordering.frontend import FrontendCore
 from repro.sim.core import Simulator
 from repro.sim.monitor import StatsRegistry
 from repro.sim.network import Network
@@ -32,7 +33,7 @@ from repro.smart.view import View
 from repro.smart2.messages import Subscribe
 
 
-class QuorumFrontend:
+class QuorumFrontend(FrontendCore):
     """One frontend of the SmartBFT-style ordering service."""
 
     def __init__(
@@ -48,27 +49,22 @@ class QuorumFrontend:
         request_timeout: float = 2.0,
         admission: Optional[AdmissionController] = None,
     ):
-        self.sim = sim
-        self.network = network
-        self.name = name
-        self.view = view
-        self.f = view.f
-        self.registry = registry
         #: ordering node id -> enrolled identity name
         self.node_names = dict(node_names or {})
-        self.orderer_names: Set[str] = set(self.node_names.values())
+        super().__init__(
+            sim,
+            network,
+            name,
+            view.f,
+            registry,
+            set(self.node_names.values()),
+            stats,
+            max_envelope_bytes,
+            admission,
+        )
+        self.view = view
         self._id_by_name = {v: k for k, v in self.node_names.items()}
-        self.stats = stats or StatsRegistry()
-        self.max_envelope_bytes = max_envelope_bytes
         self.request_timeout = request_timeout
-        #: opt-in backpressure (docs/WORKLOADS.md); None = relay all
-        self.admission = admission
-        #: same observability shape as the BFT-SMaRt frontend, whose
-        #: hub attaches to ``frontend.proxy`` as well
-        self.proxy = self
-        self.obs = None
-        self.peers: List[object] = []
-        self.on_block: List[Callable[[Block], None]] = []
 
         self._nodes = list(view.processes)
         self._home = self._nodes[self.name % len(self._nodes)]
@@ -77,23 +73,15 @@ class QuorumFrontend:
         self._sequence = 0
         #: rid -> (request, submitted_at, rotation offset)
         self._outstanding: Dict[Tuple[int, int], Tuple[ClientRequest, float, int]] = {}
-        self._rid_by_env: Dict[int, Tuple[int, int]] = {}
-        self._next_expected: Dict[str, int] = {}
-        self._future: Dict[str, Dict[int, Block]] = {}
+        #: envelope id -> every outstanding request carrying it
+        self._rids_by_env: Dict[int, List[Tuple[int, int]]] = {}
         self._delivered_count = 0
         self._last_delivery = 0.0
         self._timer_armed = False
 
-        self.envelopes_submitted = 0
-        self.blocks_delivered = 0
         self.rejected_blocks = 0
         self.resubmissions = 0
         self.failovers = 0
-        self.delivered_digests: Dict[str, List[bytes]] = {}
-
-        self._blocks_meter = None
-        self._envelopes_meter = None
-        self._latency_recorder = None
 
     def start(self) -> None:
         """Open the block subscription (call after network registration)."""
@@ -106,43 +94,18 @@ class QuorumFrontend:
         )
 
     # ------------------------------------------------------------------
-    def attach_peer(self, peer_id: object) -> None:
-        if peer_id not in self.peers:
-            self.peers.append(peer_id)
-
-    # ------------------------------------------------------------------
-    # client side
+    # transport: direct requests, rotated on timeout
     # ------------------------------------------------------------------
     def submit(self, envelope: Envelope) -> Optional[Rejected]:
         """Send an envelope to the ordering cluster (fire-and-forget).
 
-        Same contract as the BFT-SMaRt frontend: without admission
-        control, oversized payloads raise
-        :class:`~repro.fabric.envelope.OversizedPayloadError`; with it,
-        every refusal becomes an explicit :class:`Rejected` verdict and
-        ``None`` means admitted.
+        Same contract as the BFT-SMaRt frontend: ``None`` once sent,
+        else the admission controller's :class:`Rejected` verdict (see
+        :meth:`~repro.ordering.frontend.FrontendCore._gate`).
         """
-        admission = self.admission
-        ceiling = self.max_envelope_bytes
-        if ceiling is not None:
-            if not isinstance(ceiling, int):
-                ceiling = ceiling.get(envelope.channel_id)
-            if ceiling is not None:
-                if admission is None:
-                    check_payload_size(envelope.payload_ref(), ceiling)
-                elif payload_length(envelope.payload_ref()) > ceiling:
-                    return self._reject(
-                        envelope, admission.reject_oversized(envelope.submitter)
-                    )
-        if admission is not None:
-            verdict = admission.admit(envelope.submitter, self.sim.now)
-            if verdict is not None:
-                return self._reject(envelope, verdict)
-        if envelope.create_time is None:
-            envelope.create_time = self.sim.now
-        self.envelopes_submitted += 1
-        if self.obs is not None:
-            self.obs.on_submit(self.name, envelope, self.sim.now)
+        verdict = self._gate(envelope)
+        if verdict is not None:
+            return verdict
         request = ClientRequest(
             client_id=self.name,
             sequence=self._sequence,
@@ -152,17 +115,12 @@ class QuorumFrontend:
         )
         self._sequence += 1
         self._outstanding[request.request_id] = (request, self.sim.now, 0)
-        self._rid_by_env[envelope.envelope_id] = request.request_id
+        self._rids_by_env.setdefault(envelope.envelope_id, []).append(
+            request.request_id
+        )
         self.network.send(self.name, self._home, request, request.wire_size())
         self._arm_timer()
         return None
-
-    def _reject(self, envelope: Envelope, verdict: Rejected) -> Rejected:
-        if self.obs is not None:
-            self.obs.on_reject(
-                self.name, envelope.submitter, verdict.reason, self.sim.now
-            )
-        return verdict
 
     def _arm_timer(self) -> None:
         if self._timer_armed:
@@ -201,101 +159,36 @@ class QuorumFrontend:
             )
         self._arm_timer()
 
-    # ------------------------------------------------------------------
-    # delivery side
-    # ------------------------------------------------------------------
     def deliver(self, src, message) -> None:
         if isinstance(message, SubmitEnvelope):
             self.submit(message.envelope)
         elif isinstance(message, BlockDelivery):
-            self.on_block_copy(message.source, message.block)
+            self._on_block_copy(message.source, message.block)
 
-    def on_block_copy(self, source: str, block: Block) -> None:
-        if self.orderer_names and source not in self.orderer_names:
-            return
-        if not self._quorum_ok(block):
-            self.rejected_blocks += 1
-            return
-        channel = block.channel_id
-        number = block.header.number
-        if self.obs is not None:
-            self.obs.on_block_copy(self.name, channel, number, self.sim.now)
-        expected = self._next_expected.get(channel, 0)
-        if number < expected:
-            return  # duplicate (e.g. overlap after a failover re-sync)
-        if number > expected:
-            # a predecessor was dropped in flight; park the block, the
-            # failover re-sync backfills the gap
-            self._future.setdefault(channel, {})[number] = block
-            return
-        self._accept_block(block)
-        ready = self._future.get(channel, {})
-        while self._next_expected.get(channel, 0) in ready:
-            self._accept_block(ready.pop(self._next_expected[channel]))
-
-    def _quorum_ok(self, block: Block) -> bool:
+    # ------------------------------------------------------------------
+    # acceptance rule: one copy carrying a verified 2f+1 quorum
+    # ------------------------------------------------------------------
+    def _copy_valid(self, source: str, block: Block) -> bool:
         """Does the block carry a valid Byzantine-majority quorum?"""
-        if self.registry is None:
-            return False
-        payload = block.header.signing_payload()
-        signers = set()
-        for name, signature in sorted(block.signatures.items()):
-            node_id = self._id_by_name.get(name)
-            if node_id is None or name not in self.registry:
-                continue
-            if self.registry.verifier_of(name).verify(payload, signature):
-                signers.add(node_id)
-        return self.view.has_quorum(signers)
+        if self.registry is not None:
+            payload = block.header.signing_payload()
+            signers = set()
+            for name, signature in sorted(block.signatures.items()):
+                node_id = self._id_by_name.get(name)
+                if node_id is None or name not in self.registry:
+                    continue
+                if self.registry.verifier_of(name).verify(payload, signature):
+                    signers.add(node_id)
+            if self.view.has_quorum(signers):
+                return True
+        self.rejected_blocks += 1
+        return False
 
-    def _accept_block(self, block: Block) -> None:
-        channel = block.channel_id
-        self._next_expected[channel] = block.header.number + 1
+    def _on_delivered(self, block: Block) -> None:
         self._delivered_count += 1
         self._last_delivery = self.sim.now
-        self.blocks_delivered += 1
-        freed = 0
+        # stop retrying every request that carried a committed envelope
+        # id (one id may ride several requests)
         for envelope in block.envelopes:
-            rid = self._rid_by_env.pop(envelope.envelope_id, None)
-            if rid is not None and self._outstanding.pop(rid, None) is not None:
-                freed += 1
-        if freed and self.admission is not None:
-            self.admission.release(freed)
-        if self.obs is not None:
-            self.obs.on_block_delivered(self.name, block, self.sim.now)
-        self.delivered_digests.setdefault(channel, []).append(block.header.digest())
-        self._record_stats(block)
-        delivery = BlockDelivery(block=block, source=self.name)
-        self.network.broadcast(self.name, self.peers, delivery, delivery.wire_size())
-        for callback in self.on_block:
-            callback(block)
-
-    def ledger_digest(self, channel: Optional[str] = None) -> bytes:
-        """Running hash over the delivered block-digest chain.
-
-        Identical fold to the BFT-SMaRt frontend, so cross-backend
-        agreement can be asserted digest-for-digest.
-        """
-        from repro.crypto.hashing import sha256
-
-        channels = (
-            [channel] if channel is not None else sorted(self.delivered_digests)
-        )
-        acc = b""
-        for name in channels:
-            for digest in self.delivered_digests.get(name, []):
-                acc = sha256("ledger", acc, name, digest)
-        return acc
-
-    def _record_stats(self, block: Block) -> None:
-        now = self.sim.now
-        blocks = self._blocks_meter
-        if blocks is None:
-            blocks = self._blocks_meter = self.stats.meter(f"{self.name}.blocks")
-            self._envelopes_meter = self.stats.meter(f"{self.name}.envelopes")
-            self._latency_recorder = self.stats.latency(f"{self.name}.latency")
-        blocks.record(now, 1.0)
-        self._envelopes_meter.record(now, float(len(block.envelopes)))
-        latency = self._latency_recorder
-        for envelope in block.envelopes:
-            if envelope.create_time is not None:
-                latency.record(now - envelope.create_time)
+            for rid in self._rids_by_env.pop(envelope.envelope_id, ()):
+                self._outstanding.pop(rid, None)
