@@ -44,7 +44,8 @@ def attack_1_corrupt_blocks() -> None:
         service.submit(Envelope.raw("ch0", 512))
     service.run(5.0)
     frontend = service.frontends[0]
-    delivered = service.stats.meter(f"{frontend.name}.envelopes").total
+    meter = service.metrics.meter(f"ordering.frontend.{frontend.name}.envelopes")
+    delivered = meter.total
     print(f"  frontend delivered {frontend.blocks_delivered} blocks / "
           f"{delivered:.0f} envelopes -- all genuine;")
     print("  the forged copies never reached 2f+1 matches.\n")

@@ -205,8 +205,10 @@ def simulate_lan_throughput(
     )
     generator.start()
     service.run(warmup + duration)
-    node_meter = service.stats.meter("orderer0.envelopes")
-    frontend_meter = service.stats.meter(f"{FRONTEND_ID_BASE}.envelopes")
+    node_meter = service.metrics.meter("ordering.node.orderer0.envelopes")
+    frontend_meter = service.metrics.meter(
+        f"ordering.frontend.{FRONTEND_ID_BASE}.envelopes"
+    )
     generated = node_meter.rate(start=warmup, end=warmup + duration)
     delivered = frontend_meter.rate(start=warmup, end=warmup + duration)
     return LanSimResult(
@@ -303,14 +305,16 @@ def geo_latency_experiment(
     generator.start()
     service.run(warmup)
     for index in range(len(service.frontends)):
-        service.stats.latency(f"{FRONTEND_ID_BASE + index}.latency").reset()
+        service.metrics.histogram(
+            f"ordering.frontend.{FRONTEND_ID_BASE + index}.latency"
+        ).reset()
     service.run(duration + 2.0)  # drain the tail
 
     results: List[GeoLatencyResult] = []
     for index, region in enumerate(GEO_FRONTEND_SITES):
         name = FRONTEND_ID_BASE + index
-        recorder = service.stats.latency(f"{name}.latency")
-        meter = service.stats.meter(f"{name}.envelopes")
+        recorder = service.metrics.histogram(f"ordering.frontend.{name}.latency")
+        meter = service.metrics.meter(f"ordering.frontend.{name}.envelopes")
         results.append(
             GeoLatencyResult(
                 protocol=protocol,
@@ -457,7 +461,9 @@ def wheat_ablation_point(
     generator.start()
     service.run(warmup)
     index = GEO_FRONTEND_SITES.index(frontend_region)
-    recorder = service.stats.latency(f"{FRONTEND_ID_BASE + index}.latency")
+    recorder = service.metrics.histogram(
+        f"ordering.frontend.{FRONTEND_ID_BASE + index}.latency"
+    )
     recorder.reset()
     service.run(duration + 2.0)
     return AblationResult(

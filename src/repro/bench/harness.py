@@ -9,8 +9,8 @@ from benchalot's benchmark matrix):
   ``run`` callable that measures one matrix point and returns a flat
   ``{metric_name: value}`` mapping, a repeat count, and a seed policy;
 - :func:`run_benchmark` expands the matrix, executes every point
-  ``repeats`` times, records the per-repeat metric samples through the
-  :mod:`repro.sim.monitor` instruments, and summarizes them
+  ``repeats`` times, collects the per-repeat metric samples, and
+  summarizes them with :func:`repro.obs.registry.summarize`
   (mean/median/p95/stdev);
 - :func:`run_suite` runs any subset of the registry and produces a
   versioned, machine-readable result document that
@@ -45,7 +45,7 @@ from typing import (
 )
 
 from repro import __version__
-from repro.sim.monitor import StatsRegistry, summarize
+from repro.obs.registry import summarize
 
 #: Version tag of the JSON result documents.  Bump on incompatible
 #: schema changes; :func:`validate_result` enforces it on load.
@@ -428,9 +428,8 @@ def run_benchmark(
 ) -> BenchmarkResult:
     """Execute one benchmark's matrix and summarize its metrics.
 
-    Per-repeat metric values are recorded through a
-    :class:`repro.sim.monitor.StatsRegistry` latency recorder per
-    metric, then summarized with the shared statistics helpers, so the
+    Per-repeat metric values are collected per metric, then summarized
+    with the statistics helpers the registry's histograms use, so the
     JSON numbers and the live instruments can never disagree.
 
     With ``phases=True`` every repeat gets a fresh
@@ -448,7 +447,7 @@ def run_benchmark(
 
     points: List[PointResult] = []
     for params in benchmark.points(mode):
-        stats = StatsRegistry()
+        samples: Dict[str, List[float]] = {}
         seeds: List[int] = []
         directions: Dict[str, str] = {}
         phase_samples: Dict[str, List[float]] = {}
@@ -475,7 +474,7 @@ def run_benchmark(
                     f"{benchmark.name}: run returned no metrics at {params}"
                 )
             for metric, value in metrics.items():
-                stats.latency(metric).record(float(value))
+                samples.setdefault(metric, []).append(float(value))
                 directions.setdefault(metric, benchmark.direction_of(metric))
             if obs is not None:
                 obs.close()
@@ -487,7 +486,7 @@ def run_benchmark(
                         breakdown.end_to_end_mean
                     )
         for metric in directions:
-            if stats.latency(metric).count != repeat_count:
+            if len(samples[metric]) != repeat_count:
                 raise ValueError(
                     f"{benchmark.name}: metric {metric!r} missing from some "
                     f"repeats at {params}"
@@ -496,8 +495,8 @@ def run_benchmark(
             metric: MetricSummary(
                 name=metric,
                 direction=directions[metric],
-                values=list(stats.latency(metric)._samples),
-                stats=summarize(stats.latency(metric)._samples),
+                values=samples[metric],
+                stats=summarize(samples[metric]),
                 tolerance=benchmark.tolerances.get(metric),
             )
             for metric in sorted(directions)

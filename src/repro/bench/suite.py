@@ -45,7 +45,6 @@ from repro.fabric.envelope import Envelope
 from repro.fabric.orderers import KafkaCluster, KafkaOrderer, SoloOrderer
 from repro.ordering import OrderingServiceConfig, build_ordering_service
 from repro.sim import ConstantLatency, Network, RandomStreams, Simulator
-from repro.sim.monitor import StatsRegistry
 from repro.sim.storage import StorageFaults
 
 
@@ -407,15 +406,13 @@ def _run_solo(envelopes: int, envelope_size: int, block_size: int):
     network = Network(sim, ConstantLatency(0.0001))
     registry = KeyRegistry(scheme=SimulatedECDSA())
     channel = ChannelConfig("ch0", max_message_count=block_size, batch_timeout=0.5)
-    stats = StatsRegistry()
-    orderer = SoloOrderer(
-        sim, network, "solo", registry.enroll("solo"), channel, stats=stats
-    )
+    orderer = SoloOrderer(sim, network, "solo", registry.enroll("solo"), channel)
     network.register("solo", orderer)
     for _ in range(envelopes):
         orderer.submit(Envelope.raw("ch0", envelope_size))
     sim.run(until=5.0)
-    return stats.latency("solo.latency").median, orderer.blocks_created
+    latency = orderer.metrics.histogram("ordering.node.solo.latency")
+    return latency.median, orderer.blocks_created
 
 
 def _run_kafka(envelopes: int, envelope_size: int, block_size: int):
@@ -423,16 +420,15 @@ def _run_kafka(envelopes: int, envelope_size: int, block_size: int):
     network = Network(sim, ConstantLatency(0.0001))
     registry = KeyRegistry(scheme=SimulatedECDSA())
     channel = ChannelConfig("ch0", max_message_count=block_size, batch_timeout=0.5)
-    stats = StatsRegistry()
     cluster = KafkaCluster(sim, network, num_brokers=3)
     orderer = KafkaOrderer(
-        sim, network, "korderer0", registry.enroll("korderer0"), cluster, channel,
-        stats=stats,
+        sim, network, "korderer0", registry.enroll("korderer0"), cluster, channel
     )
     for _ in range(envelopes):
         orderer.submit(Envelope.raw("ch0", envelope_size))
     sim.run(until=5.0)
-    return stats.latency("korderer0.latency").median, orderer.blocks_created
+    latency = orderer.metrics.histogram("ordering.node.korderer0.latency")
+    return latency.median, orderer.blocks_created
 
 
 def _run_bft(envelopes: int, envelope_size: int, block_size: int):
@@ -448,7 +444,9 @@ def _run_bft(envelopes: int, envelope_size: int, block_size: int):
     for _ in range(envelopes):
         service.submit(Envelope.raw("ch0", envelope_size))
     service.run(5.0)
-    recorder = service.stats.latency(f"{service.frontends[0].name}.latency")
+    recorder = service.metrics.histogram(
+        f"ordering.frontend.{service.frontends[0].name}.latency"
+    )
     return recorder.median, service.nodes[0].blocks_created
 
 

@@ -31,11 +31,11 @@ from repro.fabric.api import BlockDelivery, SubmitEnvelope
 from repro.fabric.block import GENESIS_PREVIOUS_HASH, Block, BlockHeader, compute_data_hash
 from repro.fabric.channel import ChannelConfig
 from repro.fabric.envelope import Envelope
+from repro.obs.registry import MetricsRegistry
 from repro.ordering.blockcutter import BlockCutter
 from repro.ordering.node import TimeToCut
 from repro.sim.core import Simulator
 from repro.sim.cpu import CPU, ThreadPool
-from repro.sim.monitor import StatsRegistry
 from repro.sim.network import Network
 
 KAFKA_RECORD_OVERHEAD = 61
@@ -248,7 +248,7 @@ class KafkaOrderer:
         channel: ChannelConfig,
         cpu: Optional[CPU] = None,
         signing_workers: int = 16,
-        stats: Optional[StatsRegistry] = None,
+        metrics: Optional[MetricsRegistry] = None,
     ):
         self.sim = sim
         self.network = network
@@ -258,7 +258,7 @@ class KafkaOrderer:
         self.channel = channel
         self.cutter = BlockCutter(channel)
         self.signing_pool = ThreadPool(cpu, signing_workers) if cpu else None
-        self.stats = stats or StatsRegistry()
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.receivers: List[object] = []
         self.next_number = 0
         self.previous_hash = GENESIS_PREVIOUS_HASH
@@ -370,10 +370,11 @@ class KafkaOrderer:
             self.name, self.receivers, delivery, delivery.wire_size()
         )
         now = self.sim.now
-        self.stats.meter(f"{self.name}.envelopes").record(
+        prefix = f"ordering.node.{self.name}"
+        self.metrics.meter(f"{prefix}.envelopes").record(
             now, float(len(block.envelopes))
         )
-        latency = self.stats.latency(f"{self.name}.latency")
+        latency = self.metrics.histogram(f"{prefix}.latency")
         for envelope in block.envelopes:
             if isinstance(envelope, Envelope) and envelope.create_time is not None:
                 latency.record(now - envelope.create_time)

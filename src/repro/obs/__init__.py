@@ -21,6 +21,7 @@ from repro.obs.registry import (
     Counter,
     Gauge,
     Histogram,
+    Meter,
     MetricNameError,
     MetricsRegistry,
 )
@@ -33,6 +34,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "Instant",
+    "Meter",
     "MetricNameError",
     "MetricsRegistry",
     "Observability",

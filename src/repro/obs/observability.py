@@ -6,7 +6,9 @@ An :class:`Observability` instance bundles a
 methods that the instrumented components call.  Components hold
 ``self.obs = None`` by default and guard every call with
 ``if self.obs is not None`` -- with no hub attached the hot paths pay a
-single attribute test.
+single attribute test.  A deployment built with a hub adopts the hub's
+registry as its own ``service.metrics``, so the hub's counters sit in
+one name tree with the always-on block meters and latency histograms.
 
 The hub reconstructs the paper's end-to-end pipeline per envelope as a
 *telescoping milestone chain*::
@@ -437,7 +439,6 @@ class Observability:
     def on_block_signed(
         self, node_name: str, block: Any, cut_time: float, now: float
     ) -> None:
-        self.registry.counter(f"ordering.node.{node_name}.blocks_signed").increment()
         self.registry.histogram(
             f"ordering.node.{node_name}.sign_time"
         ).observe(now - cut_time)
@@ -458,12 +459,6 @@ class Observability:
             self._advance(rec, "frontend_received", now, "match", "ordering")
 
     def on_block_delivered(self, frontend_name: Any, block: Any, now: float) -> None:
-        self.registry.counter(
-            f"ordering.frontend.{frontend_name}.blocks_matched"
-        ).increment()
-        self.registry.counter(
-            f"ordering.frontend.{frontend_name}.envelopes_delivered"
-        ).increment(len(block.envelopes))
         key = (block.channel_id, block.header.number)
         first = self._first_copy.get((frontend_name, key))
         if first is not None:

@@ -11,7 +11,7 @@ attached and prints the paper-style resource-attribution report:
   by each labelled activity (signing dominates, Figure 6);
 - **bytes by link** -- the NIC-level traffic matrix (dissemination
   dominates, Figure 7);
-- counters and span-orphan summary.
+- counters, meter totals and span-orphan summary.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ def _fmt_ms(value: float) -> str:
 
 def harness_end_to_end_mean(service: OrderingService) -> Optional[float]:
     """The existing bench-harness latency instrument (frontend 0)."""
-    recorder = service.stats.latency(f"{FRONTEND_ID_BASE}.latency")
+    recorder = service.metrics.histogram(f"ordering.frontend.{FRONTEND_ID_BASE}.latency")
     if recorder.count == 0:
         return None
     return recorder.mean
@@ -193,11 +193,15 @@ def _network_section(result: ScenarioResult, top: int = 10) -> List[str]:
 
 def _counter_section(result: ScenarioResult) -> List[str]:
     registry = result.obs.registry
-    lines = ["counters"]
+    lines = ["counters (and meter totals)"]
     for name in registry.names():
         instrument = registry.get(name)
-        if instrument is not None and instrument.kind == "counter":
+        if instrument is None:
+            continue
+        if instrument.kind == "counter":
             lines.append(f"  {name:<52} {instrument.value:>12,.0f}")
+        elif instrument.kind == "meter":
+            lines.append(f"  {name:<52} {instrument.total:>12,.0f}")
     orphans = result.obs.tracer.orphans()
     lines.append(
         f"spans: {len(result.obs.tracer.spans)} recorded, "

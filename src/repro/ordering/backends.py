@@ -43,7 +43,6 @@ from repro.ordering.service import (
     build_ordering_service,
 )
 from repro.sim.core import Simulator
-from repro.sim.monitor import StatsRegistry
 from repro.sim.network import ConstantLatency, Network
 from repro.sim.randomness import RandomStreams
 from repro.smart.view import one_correct_size
@@ -175,7 +174,6 @@ def _run_cft(backend: str, spec: WorkloadSpec) -> BackendRun:
     network = Network(
         sim, ConstantLatency(0.0001), default_bandwidth_bps=1e9, streams=streams
     )
-    stats = StatsRegistry()
     registry = KeyRegistry(scheme=SimulatedECDSA(), rng=streams.stream("keys"))
     identity = registry.enroll("orderer0", org="ordererorg0")
     channel = spec.channel_config()
@@ -183,16 +181,17 @@ def _run_cft(backend: str, spec: WorkloadSpec) -> BackendRun:
     extras: Dict[str, Any] = {}
     if backend == "solo":
         orderer = SoloOrderer(
-            sim, network, "orderer0", identity, channel, cpu=None, stats=stats
+            sim, network, "orderer0", identity, channel, cpu=None
         )
         network.register("orderer0", orderer)
     else:
         cluster = KafkaCluster(sim, network, num_brokers=3)
         orderer = KafkaOrderer(
             sim, network, "orderer0", identity, cluster, channel,
-            cpu=None, stats=stats,
+            cpu=None,
         )
         extras["cluster"] = cluster
+    extras["metrics"] = orderer.metrics
 
     peer = CommittingPeer(
         sim,

@@ -27,9 +27,9 @@ from repro.crypto.keys import KeyRegistry
 from repro.fabric.api import BlockDelivery, SubmitEnvelope
 from repro.fabric.block import Block
 from repro.fabric.envelope import Envelope, check_payload_size, payload_length
+from repro.obs.registry import MetricsRegistry
 from repro.ordering.admission import AdmissionController, Rejected
 from repro.sim.core import Simulator
-from repro.sim.monitor import StatsRegistry
 from repro.sim.network import Network
 from repro.smart.proxy import ServiceProxy
 from repro.smart.view import byzantine_majority_size, one_correct_size
@@ -40,7 +40,7 @@ class FrontendCore:
 
     The ingress gate (AbsoluteMaxBytes ceiling and admission control),
     the in-order release of accepted blocks, the admission-window
-    bookkeeping and the delivery tail (peers, callbacks, stats, ledger
+    bookkeeping and the delivery tail (peers, callbacks, metrics, ledger
     digest).  A backend frontend adds its transport in ``submit`` and
     its acceptance rule in :meth:`_copy_valid` / :meth:`_accept_copy`.
     """
@@ -53,7 +53,7 @@ class FrontendCore:
         f: int,
         registry: Optional[KeyRegistry],
         orderer_names: Set[str],
-        stats: Optional[StatsRegistry],
+        metrics: Optional[MetricsRegistry],
         max_envelope_bytes: Optional[Union[int, Mapping[str, int]]],
         admission: Optional[AdmissionController],
     ):
@@ -63,7 +63,7 @@ class FrontendCore:
         self.f = f
         self.registry = registry
         self.orderer_names = orderer_names
-        self.stats = stats or StatsRegistry()
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: Fabric's AbsoluteMaxBytes ceiling -- one int for every
         #: channel or a per-channel mapping; None disables the check
         self.max_envelope_bytes = max_envelope_bytes
@@ -75,7 +75,7 @@ class FrontendCore:
         self._window_pending: Dict[int, int] = {}
         # instrument handles are resolved lazily on the first delivered
         # block (so registry contents match the uncached behaviour) and
-        # then reused -- _record_stats runs once per block
+        # then reused -- _record_metrics runs once per block
         self._blocks_meter = None
         self._envelopes_meter = None
         self._latency_recorder = None
@@ -196,7 +196,7 @@ class FrontendCore:
         self.delivered_digests.setdefault(block.channel_id, []).append(
             block.header.digest()
         )
-        self._record_stats(block)
+        self._record_metrics(block)
         delivery = BlockDelivery(block=block, source=self.name)
         self.network.broadcast(self.name, self.peers, delivery, delivery.wire_size())
         for callback in self.on_block:
@@ -220,13 +220,14 @@ class FrontendCore:
                 acc = sha256("ledger", acc, name, digest)
         return acc
 
-    def _record_stats(self, block: Block) -> None:
+    def _record_metrics(self, block: Block) -> None:
         now = self.sim.now
         blocks = self._blocks_meter
         if blocks is None:
-            blocks = self._blocks_meter = self.stats.meter(f"{self.name}.blocks")
-            self._envelopes_meter = self.stats.meter(f"{self.name}.envelopes")
-            self._latency_recorder = self.stats.latency(f"{self.name}.latency")
+            prefix = f"ordering.frontend.{self.name}"
+            blocks = self._blocks_meter = self.metrics.meter(f"{prefix}.blocks")
+            self._envelopes_meter = self.metrics.meter(f"{prefix}.envelopes")
+            self._latency_recorder = self.metrics.histogram(f"{prefix}.latency")
         blocks.record(now, 1.0)
         self._envelopes_meter.record(now, float(len(block.envelopes)))
         latency = self._latency_recorder
@@ -248,7 +249,7 @@ class Frontend(FrontendCore):
         registry: Optional[KeyRegistry] = None,
         orderer_names: Optional[Set[str]] = None,
         verify_signatures: bool = False,
-        stats: Optional[StatsRegistry] = None,
+        metrics: Optional[MetricsRegistry] = None,
         max_envelope_bytes: Optional[Union[int, Mapping[str, int]]] = None,
         admission: Optional[AdmissionController] = None,
     ):
@@ -259,7 +260,7 @@ class Frontend(FrontendCore):
             f,
             registry,
             orderer_names or set(),
-            stats,
+            metrics,
             max_envelope_bytes,
             admission,
         )

@@ -32,10 +32,10 @@ from repro.fabric.api import BlockDelivery
 from repro.fabric.block import GENESIS_PREVIOUS_HASH, Block, BlockHeader, compute_data_hash
 from repro.fabric.channel import ChannelConfig
 from repro.fabric.envelope import Envelope
+from repro.obs.registry import MetricsRegistry
 from repro.ordering.blockcutter import BlockCutter
 from repro.sim.core import Simulator
 from repro.sim.cpu import CPU, ThreadPool
-from repro.sim.monitor import StatsRegistry
 from repro.sim.network import Network
 from repro.smart.messages import ClientRequest
 from repro.smart.replica import StateMachine
@@ -74,7 +74,7 @@ class BFTOrderingNode(StateMachine):
         cpu: Optional[CPU] = None,
         signing_workers: int = 16,
         sign_cost: Optional[float] = None,
-        stats: Optional[StatsRegistry] = None,
+        metrics: Optional[MetricsRegistry] = None,
         ttc_submitter: Optional[Callable[[TimeToCut], None]] = None,
         double_sign: bool = False,
         net_id: Optional[object] = None,
@@ -93,7 +93,7 @@ class BFTOrderingNode(StateMachine):
         self.sign_cost = (
             sign_cost if sign_cost is not None else self.identity.signer.sign_cost
         )
-        self.stats = stats
+        self.metrics = metrics
         self.ttc_submitter = ttc_submitter
         #: HLF 1.0 sometimes signs a block twice (§6.1 footnote)
         self.double_sign = double_sign
@@ -261,12 +261,13 @@ class BFTOrderingNode(StateMachine):
                 cut_time if cut_time is not None else self.sim.now,
                 self.sim.now,
             )
-        if self.stats is not None:
+        if self.metrics is not None:
             meters = self._meters
             if meters is None:
+                prefix = f"ordering.node.{self.name}"
                 meters = self._meters = (
-                    self.stats.meter(f"{self.name}.blocks"),
-                    self.stats.meter(f"{self.name}.envelopes"),
+                    self.metrics.meter(f"{prefix}.blocks"),
+                    self.metrics.meter(f"{prefix}.envelopes"),
                 )
             now = self.sim.now
             meters[0].record(now, 1.0)

@@ -16,13 +16,13 @@ from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import SimulatedECDSA
 from repro.fabric.channel import ChannelConfig
 from repro.fabric.envelope import Envelope
+from repro.obs.registry import MetricsRegistry
 from repro.ordering.admission import AdmissionConfig, AdmissionController
 from repro.ordering.frontend import Frontend, FrontendCore
 from repro.ordering.node import BFTOrderingNode, TimeToCut
 from repro.ordering.wal_codec import decode_value, encode_value
 from repro.sim.core import Simulator
 from repro.sim.cpu import CPU
-from repro.sim.monitor import StatsRegistry
 from repro.sim.network import ConstantLatency, LatencyModel, Network
 from repro.sim.randomness import RandomStreams
 from repro.sim.storage import DEFAULT_FSYNC_LATENCY, SimDisk
@@ -157,7 +157,8 @@ class BFTService:
     replicas: List[Any]
     nodes: List[Any]
     frontends: List[FrontendCore]
-    stats: StatsRegistry
+    #: the deployment's one metrics registry (the hub's, if attached)
+    metrics: MetricsRegistry
     cpus: List[Optional[CPU]]
     #: optional repro.obs.Observability hub wired through every component
     observability: Optional[Any] = None
@@ -197,7 +198,8 @@ class BFTService:
     def total_delivered(self) -> int:
         """Envelopes delivered through frontend 0's meter (all frontends
         deliver the same blocks, so one meter suffices for liveness)."""
-        return int(self.stats.meter(f"{FRONTEND_ID_BASE}.envelopes").total)
+        meter = self.metrics.meter(f"ordering.frontend.{FRONTEND_ID_BASE}.envelopes")
+        return int(meter.total)
 
     def run(self, duration: float) -> None:
         self.sim.run(until=self.sim.now + duration)
@@ -208,19 +210,29 @@ ServiceT = TypeVar("ServiceT", bound=BFTService)
 
 class ServiceScaffold:
     """What both BFT builders stand up around their own node and
-    frontend types: network, stats, key registry, view, sites, channels,
-    per-node CPUs (no side effects, so built up front) and the
-    frontends' ingress gate."""
+    frontend types: network, metrics registry, key registry, view,
+    sites, channels, per-node CPUs (no side effects, so built up front)
+    and the frontends' ingress gate."""
 
-    def __init__(self, config: OrderingServiceConfig, sim: Optional[Simulator]):
+    def __init__(
+        self,
+        config: OrderingServiceConfig,
+        sim: Optional[Simulator],
+        observability: Optional[Any],
+    ):
         self.config = config
+        self.observability = observability
         self.sim = sim = sim or Simulator()
         self.streams = streams = RandomStreams(config.seed)
         latency = config.latency or ConstantLatency(0.0001)
         self.network = Network(
             sim, latency, default_bandwidth_bps=config.bandwidth_bps, streams=streams
         )
-        self.stats = StatsRegistry()
+        # one registry per deployment: with a hub attached, its
+        # counters and the always-on instruments share one name tree
+        self.metrics = (
+            observability.registry if observability is not None else MetricsRegistry()
+        )
         scheme = SimulatedECDSA()
         if config.sign_cost is not None:
             scheme.sign_cost = config.sign_cost
@@ -285,7 +297,6 @@ class ServiceScaffold:
         replicas: List[Any],
         nodes: List[Any],
         frontends: List[FrontendCore],
-        observability: Optional[Any],
     ) -> ServiceT:
         service = service_cls(
             sim=self.sim,
@@ -296,12 +307,12 @@ class ServiceScaffold:
             replicas=replicas,
             nodes=nodes,
             frontends=frontends,
-            stats=self.stats,
+            metrics=self.metrics,
             cpus=self.cpus,
-            observability=observability,
+            observability=self.observability,
         )
-        if observability is not None:
-            observability.attach(service)
+        if self.observability is not None:
+            self.observability.attach(service)
         return service
 
 
@@ -358,7 +369,7 @@ class OrderingService(BFTService):
             cpu=cpu,
             signing_workers=self.config.signing_workers,
             sign_cost=self.config.sign_cost,
-            stats=self.stats,
+            metrics=self.metrics,
             double_sign=self.config.double_sign,
             net_id=index,
         )
@@ -419,7 +430,7 @@ def build_ordering_service(
         raise ValueError(
             f"unknown orderer {config.orderer!r}; expected 'bftsmart' or 'smartbft'"
         )
-    scaffold = ServiceScaffold(config, sim)
+    scaffold = ServiceScaffold(config, sim, observability)
     sim, network, view = scaffold.sim, scaffold.network, scaffold.view
     node_sites = scaffold.node_sites
 
@@ -444,7 +455,7 @@ def build_ordering_service(
             cpu=scaffold.cpus[i],
             signing_workers=config.signing_workers,
             sign_cost=config.sign_cost,
-            stats=scaffold.stats,
+            metrics=scaffold.metrics,
             double_sign=config.double_sign,
             net_id=i,
         )
@@ -498,7 +509,7 @@ def build_ordering_service(
             registry=scaffold.registry,
             orderer_names=orderer_names,
             verify_signatures=config.verify_block_signatures,
-            stats=scaffold.stats,
+            metrics=scaffold.metrics,
             **scaffold.frontend_gate(),
         )
 
@@ -507,4 +518,4 @@ def build_ordering_service(
             node.register_frontend(frontend.name)
 
     frontends = scaffold.add_frontends(make_frontend, register_with_nodes)
-    return scaffold.finish(OrderingService, replicas, nodes, frontends, observability)
+    return scaffold.finish(OrderingService, replicas, nodes, frontends)

@@ -10,15 +10,12 @@ five regions).  It provides:
   latency, NIC bandwidth with egress queueing, partitions and loss;
 - :mod:`repro.sim.cpu` -- a processor-sharing multicore CPU model with
   hyper-threading, plus thread pools;
-- :mod:`repro.sim.monitor` -- counters, latency recorders and
-  throughput meters used by the benchmark harness;
 - :mod:`repro.sim.randomness` -- named, seeded random streams so every
   experiment is reproducible bit-for-bit.
 """
 
 from repro.sim.core import EventHandle, Future, Process, Simulator
 from repro.sim.cpu import CPU, ThreadPool
-from repro.sim.monitor import Counter, LatencyRecorder, StatsRegistry, ThroughputMeter
 from repro.sim.network import (
     NIC,
     ConstantLatency,
@@ -41,12 +38,10 @@ from repro.sim.trace import MessageTracer, TraceEvent
 __all__ = [
     "CPU",
     "ConstantLatency",
-    "Counter",
     "EventHandle",
     "Future",
     "Intercept",
     "LatencyModel",
-    "LatencyRecorder",
     "LogCorruption",
     "MatrixLatency",
     "MessageTracer",
@@ -57,10 +52,8 @@ __all__ = [
     "ScanResult",
     "SimDisk",
     "Simulator",
-    "StatsRegistry",
     "StorageFaults",
     "ThreadPool",
-    "ThroughputMeter",
     "TraceEvent",
     "frame_record",
     "scan_records",

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.sim.core import Simulator
-from repro.sim.monitor import StatsRegistry
 from repro.sim.network import Network
 from repro.smart.batching import DEFAULT_MAX_BATCH, DEFAULT_MAX_BATCH_BYTES, PendingQueue
 from repro.smart.consensus import ConsensusInstance, batch_hash
@@ -196,7 +195,6 @@ class ServiceReplica:
         config: Optional[ReplicaConfig] = None,
         log: Optional[OperationLog] = None,
         replier: Replier = default_replier,
-        stats: Optional[StatsRegistry] = None,
     ):
         from repro.smart.statetransfer import StateTransfer
         from repro.smart.synchronization import Synchronizer
@@ -209,7 +207,6 @@ class ServiceReplica:
         self.config = config or ReplicaConfig()
         self.log = log if log is not None else OperationLog()
         self.replier = replier
-        self.stats = stats
         self.counters = ReplicaCounters()
         self.faults = FaultControls()
         #: optional repro.obs hub (attached by Observability.attach)

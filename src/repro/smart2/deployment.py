@@ -2,7 +2,7 @@
 
 Mirrors :func:`repro.ordering.service.build_ordering_service` -- same
 configuration object, same :class:`~repro.ordering.service.ServiceScaffold`
-(network/crypto/stats wiring), same probe surface
+(network/crypto/metrics wiring), same probe surface
 (:class:`~repro.ordering.service.BFTService`) -- so benchmarks, the
 fault explorer and the conformance battery drive either backend through
 one interface.  Selected with ``OrderingServiceConfig(orderer="smartbft")``.
@@ -43,7 +43,7 @@ def build_smartbft_service(
 ) -> SmartBFTService:
     """Stand up a complete SmartBFT-style ordering service."""
     config = config or OrderingServiceConfig()
-    scaffold = ServiceScaffold(config, sim)
+    scaffold = ServiceScaffold(config, sim, observability)
     sim, network, view = scaffold.sim, scaffold.network, scaffold.view
 
     identities = [
@@ -68,7 +68,7 @@ def build_smartbft_service(
             cpu=scaffold.cpus[i],
             signing_workers=config.signing_workers,
             sign_cost=config.sign_cost,
-            stats=scaffold.stats,
+            metrics=scaffold.metrics,
             request_timeout=config.request_timeout,
             heartbeat_interval=config.request_timeout / 4,
         )
@@ -83,10 +83,10 @@ def build_smartbft_service(
             view=view,
             registry=scaffold.registry,
             node_names=peer_names,
-            stats=scaffold.stats,
+            metrics=scaffold.metrics,
             request_timeout=config.request_timeout,
             **scaffold.frontend_gate(),
         )
 
     frontends = scaffold.add_frontends(make_frontend, QuorumFrontend.start)
-    return scaffold.finish(SmartBFTService, nodes, nodes, frontends, observability)
+    return scaffold.finish(SmartBFTService, nodes, nodes, frontends)

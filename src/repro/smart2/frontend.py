@@ -23,10 +23,10 @@ from repro.crypto.keys import KeyRegistry
 from repro.fabric.api import BlockDelivery, SubmitEnvelope
 from repro.fabric.block import Block
 from repro.fabric.envelope import Envelope
+from repro.obs.registry import MetricsRegistry
 from repro.ordering.admission import AdmissionController, Rejected
 from repro.ordering.frontend import FrontendCore
 from repro.sim.core import Simulator
-from repro.sim.monitor import StatsRegistry
 from repro.sim.network import Network
 from repro.smart.messages import ClientRequest
 from repro.smart.view import View
@@ -44,7 +44,7 @@ class QuorumFrontend(FrontendCore):
         view: View,
         registry: Optional[KeyRegistry] = None,
         node_names: Optional[Dict[int, str]] = None,
-        stats: Optional[StatsRegistry] = None,
+        metrics: Optional[MetricsRegistry] = None,
         max_envelope_bytes: Optional[Union[int, Mapping[str, int]]] = None,
         request_timeout: float = 2.0,
         admission: Optional[AdmissionController] = None,
@@ -58,7 +58,7 @@ class QuorumFrontend(FrontendCore):
             view.f,
             registry,
             set(self.node_names.values()),
-            stats,
+            metrics,
             max_envelope_bytes,
             admission,
         )

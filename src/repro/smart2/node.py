@@ -46,10 +46,10 @@ from repro.fabric.block import (
 )
 from repro.fabric.channel import ChannelConfig
 from repro.fabric.envelope import Envelope
+from repro.obs.registry import MetricsRegistry
 from repro.ordering.blockcutter import BlockCutter
 from repro.sim.core import Simulator
 from repro.sim.cpu import CPU, ThreadPool
-from repro.sim.monitor import StatsRegistry
 from repro.sim.network import Network
 from repro.smart.durability import OperationLog
 from repro.smart.messages import ClientRequest
@@ -150,7 +150,7 @@ class SmartBFTNode:
         cpu: Optional[CPU] = None,
         signing_workers: int = 16,
         sign_cost: Optional[float] = None,
-        stats: Optional[StatsRegistry] = None,
+        metrics: Optional[MetricsRegistry] = None,
         request_timeout: float = 2.0,
         heartbeat_interval: float = 0.5,
         blacklist_window: Optional[int] = None,
@@ -172,7 +172,7 @@ class SmartBFTNode:
         self.sign_cost = (
             sign_cost if sign_cost is not None else identity.signer.sign_cost
         )
-        self.stats = stats
+        self.metrics = metrics
         self.request_timeout = request_timeout
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = max(heartbeat_interval * 4, request_timeout)
@@ -686,10 +686,11 @@ class SmartBFTNode:
             self.obs.on_block_signed(
                 self.name, decision.block, self.sim.now, self.sim.now
             )
-        if self.stats is not None:
+        if self.metrics is not None:
             now = self.sim.now
-            self.stats.meter(f"{self.name}.blocks").record(now, 1.0)
-            self.stats.meter(f"{self.name}.envelopes").record(
+            prefix = f"ordering.node.{self.name}"
+            self.metrics.meter(f"{prefix}.blocks").record(now, 1.0)
+            self.metrics.meter(f"{prefix}.envelopes").record(
                 now, float(len(decision.block.envelopes))
             )
         self._push_to_subscribers()

@@ -88,7 +88,7 @@ class TestGeoDeployments:
         sydney_index = WHEAT_GEO_SITES.index("sydney")
         service.crash_node(sydney_index)
         service.run(8.0)  # finish the offered load + drain the tail
-        meter = service.stats.meter(f"{FRONTEND_ID_BASE}.envelopes")
+        meter = service.metrics.meter(f"ordering.frontend.{FRONTEND_ID_BASE}.envelopes")
         # every single offered envelope was ordered and delivered
         assert meter.total == generator.submitted
         assert generator.submitted > 5000

@@ -12,7 +12,7 @@ import pytest
 
 from repro.bench.compare import compare_results, gate, mann_whitney_u
 from repro.bench.harness import SCHEMA, validate_result
-from repro.sim.monitor import summarize
+from repro.obs.registry import summarize
 
 
 def make_document(run_name, metric_values, direction="lower", metric="latency_s",

@@ -44,7 +44,7 @@ from repro.bench.stats import (
     rank_by_median,
     sparkline,
 )
-from repro.sim.monitor import summarize
+from repro.obs.registry import summarize
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "data" / "golden"
 

@@ -48,7 +48,7 @@ class TestOpenLoopGenerator:
         generator.start()
         service.run(5.0)
         assert generator.submitted == pytest.approx(200, abs=3)
-        meter = service.stats.meter("orderer0.envelopes")
+        meter = service.metrics.meter("ordering.node.orderer0.envelopes")
         assert meter.total == generator.submitted
 
     def test_round_robin_across_frontends(self):

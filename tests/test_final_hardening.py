@@ -120,7 +120,7 @@ class TestMiscEdges:
         service.run(3.0)
         # both submissions count as distinct ordering requests
         assert service.frontends[0].blocks_delivered == 1
-        block_envelopes = service.stats.meter("orderer0.envelopes").total
+        block_envelopes = service.metrics.meter("ordering.node.orderer0.envelopes").total
         assert block_envelopes == 2
 
     def test_view_with_processes_recomputes_f(self):

@@ -1,0 +1,74 @@
+"""One metrics registry per deployment.
+
+The always-on instruments (frontend block/envelope meters and latency
+histograms, ordering-node meters) and the observability hub's counters
+live in one :class:`~repro.obs.MetricsRegistry`: a deployment built with
+a hub adopts the hub's registry as ``service.metrics``.  The meters'
+totals are the delivered-block and envelope counts, so the hub keeps no
+duplicate counters for them.
+"""
+
+import pytest
+
+from repro.fabric.channel import ChannelConfig
+from repro.fabric.envelope import Envelope
+from repro.obs import Observability
+from repro.ordering.backends import WorkloadSpec, run_backend_workload
+from repro.ordering.service import OrderingServiceConfig, build_ordering_service
+
+ENVELOPES = 20
+BLOCK_SIZE = 4
+
+
+@pytest.mark.parametrize("orderer", ["bftsmart", "smartbft"])
+def test_hub_and_service_share_one_registry(orderer):
+    obs = Observability()
+    config = OrderingServiceConfig(
+        orderer=orderer,
+        channel=ChannelConfig("ch0", max_message_count=BLOCK_SIZE),
+        num_frontends=2,
+        physical_cores=None,
+    )
+    service = build_ordering_service(config, observability=obs)
+    assert service.metrics is obs.registry
+
+    frontend = service.frontends[0]
+    seen = []
+    frontend.on_block.append(lambda block: seen.append(len(block.envelopes)))
+    for index in range(ENVELOPES):
+        service.submit(Envelope.raw("ch0", 128), frontend_index=index % 2)
+    service.run(3.0)
+
+    metrics = service.metrics
+    prefix = f"ordering.frontend.{frontend.name}"
+    envelopes = metrics.meter(f"{prefix}.envelopes").total
+    assert envelopes == service.total_delivered() == sum(seen) == ENVELOPES
+    blocks = metrics.meter(f"{prefix}.blocks").total
+    assert blocks == frontend.blocks_delivered == len(seen) == ENVELOPES // BLOCK_SIZE
+    assert metrics.histogram(f"{prefix}.latency").count == ENVELOPES
+    for node in service.nodes:
+        assert metrics.meter(f"ordering.node.{node.name}.blocks").total == blocks
+        assert metrics.meter(f"ordering.node.{node.name}.envelopes").total == envelopes
+
+    # the meters' totals replace the hub's old duplicate counters
+    for name in (
+        f"{prefix}.blocks_matched",
+        f"{prefix}.envelopes_delivered",
+        f"ordering.node.{service.nodes[0].name}.blocks_signed",
+    ):
+        assert name not in metrics
+    # ...while the hub's own instruments sit in the same tree
+    assert metrics.counter(f"{prefix}.envelopes_submitted").value == ENVELOPES // 2
+
+
+@pytest.mark.parametrize("backend", ["solo", "kafka"])
+def test_cft_orderer_records_into_the_run_registry(backend):
+    run = run_backend_workload(
+        backend, WorkloadSpec(num_envelopes=ENVELOPES, block_size=BLOCK_SIZE)
+    )
+    assert run.finished
+    metrics = run.extras["metrics"]
+    committed = len(run.committed_flat_ids)
+    assert committed == ENVELOPES
+    assert metrics.meter("ordering.node.orderer0.envelopes").total == committed
+    assert metrics.histogram("ordering.node.orderer0.latency").count == committed

@@ -52,7 +52,7 @@ class TestBlockFlow:
         service.run(5.0)
         assert service.frontends[0].blocks_delivered == 1
         front = service.frontends[0]
-        meter = service.stats.meter(f"{front.name}.envelopes")
+        meter = service.metrics.meter(f"ordering.frontend.{front.name}.envelopes")
         assert meter.total == 3
 
     def test_blocks_signed_by_all_nodes_after_merge(self):
@@ -74,7 +74,8 @@ class TestBlockFlow:
         for _ in range(10):
             service.submit(Envelope.raw("ch0", 64))
         service.run(3.0)
-        recorder = service.stats.latency(f"{service.frontends[0].name}.latency")
+        front = service.frontends[0]
+        recorder = service.metrics.histogram(f"ordering.frontend.{front.name}.latency")
         assert recorder.count == 10
         assert recorder.median > 0
 
@@ -134,7 +135,8 @@ class TestFaultTolerance:
             service.submit(envelope)
         service.run(3.0)
         assert service.frontends[0].blocks_delivered == 1
-        meter = service.stats.meter(f"{service.frontends[0].name}.envelopes")
+        front = service.frontends[0]
+        meter = service.metrics.meter(f"ordering.frontend.{front.name}.envelopes")
         assert meter.total == 10  # the real envelopes, not the bogus one
 
     def test_frontend_with_signature_verification_needs_f_plus_1(self):

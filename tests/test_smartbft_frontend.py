@@ -78,8 +78,8 @@ def _pinned_scenario():
 def test_quorum_frontend_rotation_failover_forgery_and_reordering_pinned():
     service = _pinned_scenario()
     front0, front1 = service.frontends
-    latency0 = service.stats.latency("1000.latency")
-    latency1 = service.stats.latency("1001.latency")
+    latency0 = service.metrics.histogram("ordering.frontend.1000.latency")
+    latency1 = service.metrics.histogram("ordering.frontend.1001.latency")
     digest = "79edb7a2b5fb4ab143769f0db5f660270d03fa0a6714536b0c59bb7def16ed5b"
     assert {name: d.hex() for name, d in service.ledger_digests().items()} == {
         1000: digest,
