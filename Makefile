@@ -89,7 +89,7 @@ racesan:
 		--permutations $(RACESAN_K) --json $(RACESAN_OUT)
 
 ## everything CI's per-commit job runs, in order
-ci: lint analyze flow test perfbench-test examples faults-smoke faults-recovery faults-smartbft faults-overload bench-smoke bench-check bench-kernel bench-report
+ci: lint analyze flow test perfbench-test examples faults-smoke faults-recovery faults-smartbft faults-overload bench-smoke bench-check bench-full bench-kernel bench-report
 
 ## quick confidence check: 5 explorer seeds (runs in seconds)
 faults-smoke:
@@ -159,7 +159,9 @@ bench-kernel-baseline:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m repro.bench run \
 		--only kernel_speed --name kernel --out $(KERNEL_BASELINE)
 
-## full paper-figure matrices (minutes); writes BENCH_full.json
+## full paper-figure matrices (about a minute and a half); writes
+## BENCH_full.json, then evaluates every benchmark's declared
+## paper-shape checks and fails if one does not hold
 bench-full:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m repro.bench run \
 		--name full --out BENCH_full.json

@@ -5,17 +5,19 @@
   for the paper's Dell R410 / Gigabit testbed;
 - :mod:`repro.bench.topology` -- LAN and AWS WAN latency models;
 - :mod:`repro.bench.workload` -- envelope load generators;
-- :mod:`repro.bench.figures` -- the experiments: ``figure6`` through
-  ``figure9`` plus the conclusion table and our ablations;
-- :mod:`repro.bench.tables` -- ASCII rendering of results;
+- :mod:`repro.bench.figures` -- what one matrix point of each
+  experiment measures (Figure 6 signing, Figure 7 DES, Figures 8/9 geo
+  latency, the conclusion table and our ablations);
 - :mod:`repro.bench.harness` -- the declarative benchmark registry,
-  runner, and versioned JSON result schema (``BENCH_<name>.json``);
-- :mod:`repro.bench.suite` -- the registered benchmarks (importing it
-  populates the registry);
+  runner, declared checks, and versioned JSON result schema
+  (``BENCH_<name>.json``);
+- :mod:`repro.bench.suite` -- the registered benchmarks and their
+  paper-shape checks (importing it populates the registry);
 - :mod:`repro.bench.compare` -- statistical baseline comparison and
   the regression gate behind ``make bench-check``.
 
-See ``docs/BENCHMARKS.md`` for the workflow.
+``python -m repro.bench run`` is the one way to run the evaluation and
+check its shapes; see ``docs/BENCHMARKS.md`` for the workflow.
 """
 
 from repro.bench.harness import (

@@ -18,11 +18,9 @@ Subcommands::
 (:mod:`repro.bench.report`) and ``history`` exit 0 on success, 2 on
 usage/schema errors.
 
-The legacy figure-regeneration interface is kept verbatim::
-
-    python -m repro.bench --figure 6
-    python -m repro.bench --figure 7 --orderers 4 --block-size 10
-    python -m repro.bench --figure all
+``run`` evaluates each benchmark's declared paper-shape checks on
+full-mode results after writing the JSON, prints one line per check and
+exits 1 if any failed.
 """
 
 from __future__ import annotations
@@ -30,112 +28,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.bench.figures import (
-    BLOCK_SIZES,
-    CLUSTER_SIZES,
-    conclusion_comparison,
-    figure6,
-    figure7_panel,
-    figure8,
-    figure9,
-    wheat_ablation,
-)
-from repro.bench.model import OrderingCapacityModel, eq1_bound
-from repro.bench.tables import (
-    render_ablation,
-    render_conclusion,
-    render_figure6,
-    render_figure7_panel,
-    render_geo_results,
-)
 
-
-# ----------------------------------------------------------------------
-# Legacy figure regeneration (--figure N)
-# ----------------------------------------------------------------------
-def run_figure6(_args) -> None:
-    print(render_figure6(figure6()))
-
-
-def run_figure7(args) -> None:
-    clusters = [args.orderers] if args.orderers else CLUSTER_SIZES
-    blocks = [args.block_size] if args.block_size else BLOCK_SIZES
-    for n in clusters:
-        for bs in blocks:
-            print(render_figure7_panel(n, bs, figure7_panel(n, bs)))
-            print()
-
-
-def run_figure8(args) -> None:
-    results = figure8(duration=args.duration, rate=args.rate)
-    print(render_geo_results("Figure 8: geo latency, blocks of 10 envelopes", results))
-
-
-def run_figure9(args) -> None:
-    results = figure9(duration=args.duration, rate=args.rate)
-    print(render_geo_results("Figure 9: geo latency, blocks of 100 envelopes", results))
-
-
-def run_eq1(_args) -> None:
-    print("Equation 1: TP_os <= min(TP_sign*bs, TP_bftsmart)")
-    print(f"{'n':>3} {'es':>6} {'bs':>4} {'r':>3} | {'predicted':>10} | {'bound':>10}")
-    for n in CLUSTER_SIZES:
-        model = OrderingCapacityModel(n=n)
-        for es in (40, 1024, 4096):
-            for bs in BLOCK_SIZES:
-                for r in (1, 32):
-                    predicted = model.throughput(es, bs, r)
-                    bound = eq1_bound(bs, es, r, n=n)
-                    print(
-                        f"{n:>3} {es:>6} {bs:>4} {r:>3} | {predicted:>10.0f} | {bound:>10.0f}"
-                    )
-    print()
-    print(render_conclusion(conclusion_comparison()))
-
-
-def run_ablation(args) -> None:
-    print(render_ablation(wheat_ablation(duration=args.duration)))
-
-
-RUNNERS = {
-    "6": run_figure6,
-    "7": run_figure7,
-    "8": run_figure8,
-    "9": run_figure9,
-    "eq1": run_eq1,
-    "ablation": run_ablation,
-}
-
-
-def legacy_main(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench",
-        description="Regenerate the paper's evaluation figures.",
-    )
-    parser.add_argument(
-        "--figure",
-        required=True,
-        choices=sorted(RUNNERS) + ["all"],
-        help="which figure/table to regenerate",
-    )
-    parser.add_argument("--orderers", type=int, choices=CLUSTER_SIZES, default=None)
-    parser.add_argument("--block-size", type=int, choices=BLOCK_SIZES, default=None)
-    parser.add_argument("--duration", type=float, default=6.0,
-                        help="simulated measurement seconds (figures 8/9)")
-    parser.add_argument("--rate", type=float, default=1100.0,
-                        help="offered load, tx/s (figures 8/9)")
-    args = parser.parse_args(argv)
-
-    targets = sorted(RUNNERS) if args.figure == "all" else [args.figure]
-    for target in targets:
-        RUNNERS[target](args)
-        print()
-    return 0
-
-
-# ----------------------------------------------------------------------
-# Harness subcommands (list / run / compare)
-# ----------------------------------------------------------------------
 def cmd_list(_args) -> int:
     from repro.bench import suite  # noqa: F401 - populates the registry
     from repro.bench.harness import REGISTRY
@@ -155,6 +48,7 @@ def cmd_run(args) -> int:
     from repro.bench.harness import (
         REGISTRY,
         render_suite,
+        run_checks,
         run_suite,
         write_result,
     )
@@ -210,6 +104,10 @@ def cmd_run(args) -> int:
         print()
         print(render_suite(result))
     print(f"\n[written to {path}]")
+    failures = run_checks(result, benchmarks, report=print)
+    if failures:
+        print(f"bench-run: {len(failures)} check(s) failed", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -329,9 +227,6 @@ def cmd_history(args) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    if any(arg.startswith("--figure") for arg in argv):
-        return legacy_main(argv)
-
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="Declarative benchmark harness (see docs/BENCHMARKS.md).",

@@ -1,31 +1,30 @@
-"""The paper's experiments, one function per table/figure.
+"""The paper's experiments: what one matrix point of a registered
+benchmark (:mod:`repro.bench.suite`) measures.
 
-Every function returns plain dict/dataclass results that the benchmark
-modules under ``benchmarks/`` render and assert on, and that
-EXPERIMENTS.md records next to the paper's numbers.
+Every function returns plain dict/dataclass results that the suite
+flattens into metrics, and that EXPERIMENTS.md records next to the
+paper's numbers.
 
-- :func:`figure6` -- signature-generation throughput vs worker
+- :func:`figure6` -- one point of signature-generation throughput vs worker
   threads, *measured* on the simulated 8-core/16-thread Xeon, with the
   analytic curve alongside;
-- :func:`figure6_invariance` -- signing rate vs envelope/block sizes
-  (constant, because only the header is signed);
-- :func:`figure7_panel` -- LAN ordering throughput vs receivers for
-  all envelope sizes (one panel of Figure 7, from the capacity model);
 - :func:`simulate_lan_throughput` -- full-stack DES cross-validation
-  of a single Figure 7 operating point;
-- :func:`geo_latency_experiment` -- Figures 8 and 9: end-to-end
-  ordering latency at four frontends across the Americas with the
-  ordering cluster spread world-wide, BFT-SMaRt vs WHEAT;
+  of a single Figure 7 operating point (the panels themselves come
+  from :class:`repro.bench.model.OrderingCapacityModel`);
+- :func:`geo_latency_experiment` -- one cell of Figures 8 and 9:
+  end-to-end ordering latency at four frontends across the Americas
+  with the ordering cluster spread world-wide, BFT-SMaRt vs WHEAT;
 - :func:`conclusion_comparison` -- the §8 comparison against
   Ethereum's and Bitcoin's peaks;
-- :func:`wheat_ablation` -- our ablation: weights and tentative
-  execution toggled independently.
+- :func:`wheat_ablation_point` -- our ablation: weights and tentative
+  execution toggled independently;
+- :func:`kernel_speed` -- the simulator's own wall-clock speed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.bench.model import (
     BATCH_LIMIT,
@@ -66,88 +65,44 @@ GEO_FRONTEND_SITES = ("canada", "oregon", "virginia", "saopaulo")
 # Figure 6
 # ----------------------------------------------------------------------
 def figure6(
-    workers: Sequence[int] = tuple(range(1, 17)),
-    envelopes_per_block: int = 10,
-    measure_seconds: float = 1.0,
-) -> Dict[int, Dict[str, float]]:
-    """Signature generation for Fabric blocks (Figure 6).
+    workers: int, envelopes_per_block: int = 10, measure_seconds: float = 1.0
+) -> Dict[str, float]:
+    """One point of Figure 6 (signature generation for Fabric blocks).
 
-    For each worker count, runs the simulated 16-hardware-thread Xeon
-    with a saturated signing pool and measures signatures/second; the
+    Runs the simulated 16-hardware-thread Xeon with ``workers`` signing
+    threads kept saturated and measures signatures/second; the
     closed-form model value is reported alongside.
     """
     model = SignatureThroughputModel()
-    results: Dict[int, Dict[str, float]] = {}
-    for count in workers:
-        sim = Simulator()
-        cpu = CPU(sim, physical_cores=model.physical_cores,
-                  hardware_threads=model.hardware_threads, ht_yield=model.ht_yield)
-        pool = ThreadPool(cpu, count)
-        completed = [0]
+    sim = Simulator()
+    cpu = CPU(sim, physical_cores=model.physical_cores,
+              hardware_threads=model.hardware_threads, ht_yield=model.ht_yield)
+    pool = ThreadPool(cpu, workers)
+    completed = [0]
 
-        def finish(_=None):
-            completed[0] += 1
+    def finish(_=None):
+        completed[0] += 1
 
-        # keep the pool saturated: twice the expected work plus slack
-        expected = model.throughput(count) * measure_seconds
-        for _ in range(int(expected * 2) + count + 8):
-            pool.submit(model.sign_cost, finish)
-        sim.run(until=measure_seconds)
-        measured = completed[0] / measure_seconds
-        results[count] = {
-            "measured": measured,
-            "model": model.throughput(count),
-            "theoretical_tx_per_sec": measured * envelopes_per_block,
-        }
-    return results
-
-
-def figure6_invariance(
-    envelope_sizes: Sequence[int] = ENVELOPE_SIZES,
-    block_sizes: Sequence[int] = BLOCK_SIZES,
-    workers: int = 16,
-) -> Dict[Tuple[int, int], float]:
-    """§6.1: the signing rate is independent of envelope and block
-    sizes because only the (fixed-size) header is signed."""
-    model = SignatureThroughputModel()
-    rate = model.throughput(workers)
-    return {(es, bs): rate for es in envelope_sizes for bs in block_sizes}
-
-
-# ----------------------------------------------------------------------
-# Figure 7 (capacity model) + DES cross-validation
-# ----------------------------------------------------------------------
-def figure7_panel(
-    orderers: int,
-    block_size: int,
-    envelope_sizes: Sequence[int] = ENVELOPE_SIZES,
-    receivers: Sequence[int] = RECEIVER_COUNTS,
-) -> Dict[int, Dict[int, float]]:
-    """One panel of Figure 7: tx/s by envelope size and receivers."""
-    model = OrderingCapacityModel(n=orderers)
+    # keep the pool saturated: twice the expected work plus slack
+    expected = model.throughput(workers) * measure_seconds
+    for _ in range(int(expected * 2) + workers + 8):
+        pool.submit(model.sign_cost, finish)
+    sim.run(until=measure_seconds)
+    measured = completed[0] / measure_seconds
     return {
-        es: {r: model.throughput(es, block_size, r) for r in receivers}
-        for es in envelope_sizes
+        "measured": measured,
+        "model": model.throughput(workers),
+        "theoretical_tx_per_sec": measured * envelopes_per_block,
     }
 
 
-def figure7_all_panels() -> Dict[Tuple[int, int], Dict[int, Dict[int, float]]]:
-    """All six panels: (orderers, block size) -> series."""
-    return {
-        (n, bs): figure7_panel(n, bs)
-        for n in CLUSTER_SIZES
-        for bs in BLOCK_SIZES
-    }
-
-
+# ----------------------------------------------------------------------
+# Figure 7: full-stack DES cross-validation of the capacity model
+# ----------------------------------------------------------------------
 @dataclass
 class LanSimResult:
     """One full-stack DES measurement of a Figure 7 operating point."""
 
-    orderers: int
-    block_size: int
-    envelope_size: int
-    receivers: int
     offered_rate: float
     generated_rate: float  # blocks*bs signed at node 0
     delivered_rate: float  # envelopes accepted (2f+1 copies) at a frontend
@@ -212,10 +167,6 @@ def simulate_lan_throughput(
     generated = node_meter.rate(start=warmup, end=warmup + duration)
     delivered = frontend_meter.rate(start=warmup, end=warmup + duration)
     return LanSimResult(
-        orderers=orderers,
-        block_size=block_size,
-        envelope_size=envelope_size,
-        receivers=receivers,
         offered_rate=offered,
         generated_rate=generated,
         delivered_rate=delivered,
@@ -231,9 +182,6 @@ def simulate_lan_throughput(
 class GeoLatencyResult:
     """Latency distribution at one frontend for one configuration."""
 
-    protocol: str
-    envelope_size: int
-    block_size: int
     frontend_region: str
     median: float
     p90: float
@@ -317,9 +265,6 @@ def geo_latency_experiment(
         meter = service.metrics.meter(f"ordering.frontend.{name}.envelopes")
         results.append(
             GeoLatencyResult(
-                protocol=protocol,
-                envelope_size=envelope_size,
-                block_size=block_size,
                 frontend_region=region,
                 median=recorder.median,
                 p90=recorder.p90,
@@ -328,45 +273,6 @@ def geo_latency_experiment(
             )
         )
     return results
-
-
-def figure8(
-    envelope_sizes: Sequence[int] = ENVELOPE_SIZES,
-    block_size: int = 10,
-    rate: float = 1100.0,
-    duration: float = 10.0,
-    seed: int = 0,
-) -> Dict[str, Dict[int, List[GeoLatencyResult]]]:
-    """Figure 8 (or Figure 9 with ``block_size=100``)."""
-    return {
-        protocol: {
-            es: geo_latency_experiment(
-                protocol=protocol,
-                envelope_size=es,
-                block_size=block_size,
-                rate=rate,
-                duration=duration,
-                seed=seed,
-            )
-            for es in envelope_sizes
-        }
-        for protocol in ("bftsmart", "wheat")
-    }
-
-
-def figure9(
-    envelope_sizes: Sequence[int] = ENVELOPE_SIZES,
-    rate: float = 1100.0,
-    duration: float = 10.0,
-    seed: int = 0,
-) -> Dict[str, Dict[int, List[GeoLatencyResult]]]:
-    return figure8(
-        envelope_sizes=envelope_sizes,
-        block_size=100,
-        rate=rate,
-        duration=duration,
-        seed=seed,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -380,8 +286,6 @@ def conclusion_comparison() -> Dict[str, float]:
     floor = model.throughput(4096, 100, 32)
     return {
         "bft_ordering_worst_case": floor,
-        "ethereum_theoretical_peak": 1000.0,
-        "bitcoin_peak": 7.0,
         "speedup_vs_ethereum": floor / 1000.0,
         "speedup_vs_bitcoin": floor / 7.0,
     }
@@ -389,8 +293,6 @@ def conclusion_comparison() -> Dict[str, float]:
 
 @dataclass
 class AblationResult:
-    weights: bool
-    tentative: bool
     median: float
     p90: float
 
@@ -467,37 +369,9 @@ def wheat_ablation_point(
     recorder.reset()
     service.run(duration + 2.0)
     return AblationResult(
-        weights=weights,
-        tentative=tentative,
         median=recorder.median,
         p90=recorder.p90,
     )
-
-
-def wheat_ablation(
-    envelope_size: int = 1024,
-    block_size: int = 10,
-    rate: float = 1100.0,
-    duration: float = 8.0,
-    frontend_region: str = "virginia",
-    seed: int = 0,
-) -> List[AblationResult]:
-    """Decompose WHEAT's gain: weighted quorums and tentative execution
-    toggled independently on the 5-replica geo deployment."""
-    return [
-        wheat_ablation_point(
-            weights,
-            tentative,
-            envelope_size=envelope_size,
-            block_size=block_size,
-            rate=rate,
-            duration=duration,
-            frontend_region=frontend_region,
-            seed=seed,
-        )
-        for weights in (False, True)
-        for tentative in (False, True)
-    ]
 
 
 # ----------------------------------------------------------------------

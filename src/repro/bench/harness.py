@@ -1,8 +1,8 @@
-"""Declarative benchmark registry, runner, and JSON result schema.
+"""Declarative benchmark registry, runner, declared checks, and JSON
+result schema.
 
-The harness replaces the hand-rolled sweep loops of the original
-``benchmarks/bench_*.py`` scripts with one declarative shape (borrowed
-from benchalot's benchmark matrix):
+Every experiment has one declarative shape (borrowed from benchalot's
+benchmark matrix):
 
 - a :class:`Benchmark` declares a *parameter matrix* (the cross product
   of named value lists), optional ``setup``/``teardown`` callables, a
@@ -19,7 +19,10 @@ from benchalot's benchmark matrix):
 
 Every benchmark may declare a ``smoke_matrix`` (and ``smoke_repeats``):
 a seconds-fast subset used by ``make bench-smoke`` and the tier-1 test
-suite, while the full matrix reproduces the paper figures.
+suite, while the full matrix reproduces the paper figures.  The paper's
+shape properties ride along as declared ``checks``: plain functions over
+the run's :class:`SuiteResult` that :func:`run_checks` evaluates on
+full-mode results (``bench run`` exits 1 when one fails).
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import os
 import platform
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -58,6 +62,10 @@ SUMMARY_KEYS = ("count", "mean", "median", "p95", "stdev", "min", "max")
 #: repeat (base + repeat index); ``fixed`` reuses the base seed, which
 #: makes repeats bit-identical in the deterministic simulator.
 SEED_POLICIES = ("per-repeat", "fixed")
+
+#: A declared paper-shape check: reads the run's :class:`SuiteResult`
+#: and raises ``AssertionError`` when the shape does not hold.
+Check = Callable[["SuiteResult"], None]
 
 
 @dataclass(frozen=True)
@@ -105,6 +113,9 @@ class Benchmark:
     tolerances: Mapping[str, float] = field(default_factory=dict)
     description: str = ""
     tags: Tuple[str, ...] = ()
+    #: paper-shape checks over a full-mode run (see :func:`run_checks`);
+    #: they index the full matrix, so smoke runs skip them
+    checks: Tuple[Check, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -241,9 +252,6 @@ class BenchmarkRegistry:
 
     def __iter__(self) -> Iterator[Benchmark]:
         return iter(self._benchmarks.values())
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._benchmarks
 
     def __len__(self) -> int:
         return len(self._benchmarks)
@@ -548,6 +556,51 @@ def run_suite(
         environment=environment_fingerprint(),
         benchmarks=results,
     )
+
+
+# ----------------------------------------------------------------------
+# Declared checks
+# ----------------------------------------------------------------------
+class CheckSkipped(Exception):
+    """Raised by a check whose input benchmark is not in the run."""
+
+
+def run_checks(
+    suite: SuiteResult,
+    benchmarks: Sequence[Benchmark],
+    report: Optional[Callable[[str], None]] = None,
+) -> List[str]:
+    """Evaluate the declared checks of ``benchmarks`` over ``suite``.
+
+    Returns one message per failed check; ``report`` receives one
+    ``<benchmark>.<check>: ok | FAIL: ... | skipped: ...`` line per
+    check.  Smoke-mode runs evaluate nothing: their matrices lack the
+    paper's points.
+    """
+    if suite.mode != "full":
+        return []
+    if not __debug__ and any(b.checks for b in benchmarks):
+        # python -O strips assert statements: every check would read "ok"
+        raise RuntimeError("declared checks need assertions; run without python -O")
+    failures: List[str] = []
+    for benchmark in benchmarks:
+        for check in benchmark.checks:
+            label = f"{benchmark.name}.{check.__name__}"
+            try:
+                check(suite)
+            except CheckSkipped as exc:
+                status = f"skipped: {exc}"
+            except AssertionError as exc:
+                # a bare assert carries no message: show its source line
+                line = traceback.extract_tb(exc.__traceback__)[-1].line
+                message = f"{line} ({exc})" if str(exc) else str(line)
+                failures.append(f"{label}: {message}")
+                status = f"FAIL: {message}"
+            else:
+                status = "ok"
+            if report is not None:
+                report(f"{label}: {status}")
+    return failures
 
 
 # ----------------------------------------------------------------------

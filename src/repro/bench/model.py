@@ -31,7 +31,7 @@ testbed's exact figures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Sequence
+from typing import Dict
 
 # ----------------------------------------------------------------------
 # calibration constants (the paper's hardware)
@@ -115,9 +115,6 @@ class SignatureThroughputModel:
             workers, self.physical_cores, self.hardware_threads, self.ht_yield
         )
         return capacity / self.sign_cost
-
-    def sweep(self, workers: Sequence[int] = tuple(range(1, 17))) -> Dict[int, float]:
-        return {w: self.throughput(w) for w in workers}
 
     @property
     def peak(self) -> float:

@@ -104,10 +104,6 @@ class Unit:
     #: variant -> median-of-repeats (None when non-finite)
     medians: Dict[str, Optional[float]] = field(default_factory=dict)
 
-    @property
-    def key(self) -> Tuple:
-        return (self.benchmark, _point_key(self.params), self.metric)
-
     def present(self) -> List[str]:
         """Variants with a finite median, sorted."""
         return sorted(v for v, m in self.medians.items() if m is not None)

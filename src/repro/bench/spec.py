@@ -222,7 +222,8 @@ def expand_spec(
     axis; every overridden axis must exist in the benchmark's full
     matrix so a spec cannot invent parameters the run callable would
     ignore.  The derived smoke matrix layers ``[smoke.matrix]`` over
-    ``[matrix]`` over the benchmark's own smoke subset.
+    ``[matrix]`` over the benchmark's own smoke subset.  Derived
+    benchmarks carry no declared checks.
     """
     if registry is None:
         # populate the default registry with the committed suite
@@ -251,6 +252,9 @@ def expand_spec(
         replacements: Dict[str, Any] = {
             "matrix": new_matrix,
             "smoke_matrix": new_smoke,
+            # declared checks index the registered matrix, which the
+            # spec has just replaced
+            "checks": (),
         }
         if spec.repeats is not None:
             replacements["repeats"] = spec.repeats

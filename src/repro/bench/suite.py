@@ -2,11 +2,11 @@
 
 Importing this module populates :data:`repro.bench.harness.REGISTRY`
 with one declarative benchmark per table/figure of the evaluation (plus
-our ablations and the orderer baselines).  The former
-``benchmarks/bench_*.py`` sweep loops are all expressed here as
-parameter matrices; the pytest wrappers under ``benchmarks/`` run these
-registry entries through the harness and assert the paper's shape
-properties on the structured results.
+our ablations and the orderer baselines).  The paper's shape properties
+(peak ~8,400 sig/s, WHEAT well under BFT-SMaRt's geo latency, ...) are
+declared next to each benchmark as ``checks`` over the run's
+:class:`~repro.bench.harness.SuiteResult`; ``bench run`` evaluates them
+on full-mode results and exits 1 when one fails.
 
 Each benchmark declares a ``smoke_matrix``: the seconds-fast subset
 ``make bench-smoke`` and the tier-1 smoke tests execute.  All
@@ -32,7 +32,7 @@ from repro.bench.figures import (
     simulate_lan_throughput,
     wheat_ablation_point,
 )
-from repro.bench.harness import REGISTRY, BenchContext
+from repro.bench.harness import REGISTRY, BenchContext, CheckSkipped, SuiteResult
 from repro.bench.model import (
     OrderingCapacityModel,
     SignatureThroughputModel,
@@ -48,9 +48,48 @@ from repro.sim import ConstantLatency, Network, RandomStreams, Simulator
 from repro.sim.storage import StorageFaults
 
 
+def _approx(actual: float, expected: float, rel: float) -> bool:
+    """``actual == pytest.approx(expected, rel=rel)``."""
+    return abs(actual - expected) <= max(rel * abs(expected), 1e-12)
+
+
 # ----------------------------------------------------------------------
 # Figure 6: signature-generation throughput
 # ----------------------------------------------------------------------
+def figure6_signature_scaling(suite: SuiteResult) -> None:
+    result = suite.benchmark("fig6_signing")
+
+    measured = {
+        p.params["workers"]: p.metrics["sig_per_sec"].median for p in result.points
+    }
+    # paper shape 1: monotone scaling with workers
+    ordered = [measured[w] for w in sorted(measured)]
+    assert all(a <= b * 1.001 for a, b in zip(ordered, ordered[1:]))
+    # paper shape 2: the peak lands at ~8,400 sig/s
+    assert _approx(measured[16], 8400, rel=0.05)
+    # paper shape 3: near-linear up to the 8 physical cores, then a knee
+    assert _approx(measured[8], 8 * measured[1], rel=0.05)
+    gain_per_thread_low = (measured[8] - measured[1]) / 7.0
+    gain_per_thread_high = (measured[16] - measured[8]) / 8.0
+    assert gain_per_thread_high < 0.5 * gain_per_thread_low
+    # paper headline: 84,000 tx/s theoretical bound at 10 env/block
+    assert _approx(result.value("tx_per_sec_bound", workers=16), 84000, rel=0.05)
+    # simulation agrees with the closed-form model
+    for point in result.points:
+        assert _approx(
+            point.metrics["sig_per_sec"].median,
+            point.metrics["model_sig_per_sec"].median,
+            rel=0.02,
+        ), point.params
+
+
+def figure6_rate_independent_of_sizes(suite: SuiteResult) -> None:
+    """§6.1: header-only signing makes the rate size-invariant."""
+    result = suite.benchmark("fig6_invariance")
+    rates = {p.metrics["sig_per_sec"].median for p in result.points}
+    assert len(rates) == 1
+
+
 @REGISTRY.register(
     name="fig6_signing",
     description="Figure 6: ECDSA signing throughput vs worker threads "
@@ -71,14 +110,14 @@ from repro.sim.storage import StorageFaults
         "tx_per_sec_bound": "higher",
     },
     tags=("figure6", "signing"),
+    checks=(figure6_signature_scaling,),
 )
 def fig6_signing(ctx: BenchContext) -> Dict[str, float]:
-    workers = ctx["workers"]
     row = figure6(
-        workers=(workers,),
+        ctx["workers"],
         envelopes_per_block=ctx["envelopes_per_block"],
         measure_seconds=ctx["measure_seconds"],
-    )[workers]
+    )
     return {
         "sig_per_sec": row["measured"],
         "model_sig_per_sec": row["model"],
@@ -102,6 +141,7 @@ def fig6_signing(ctx: BenchContext) -> Dict[str, float]:
     },
     directions={"sig_per_sec": "higher"},
     tags=("figure6", "signing"),
+    checks=(figure6_rate_independent_of_sizes,),
 )
 def fig6_invariance(ctx: BenchContext) -> Dict[str, float]:
     model = SignatureThroughputModel()
@@ -111,6 +151,130 @@ def fig6_invariance(ctx: BenchContext) -> Dict[str, float]:
 # ----------------------------------------------------------------------
 # Figure 7: LAN ordering throughput (capacity model + full-stack DES)
 # ----------------------------------------------------------------------
+def figure7_all_panels(suite: SuiteResult) -> None:
+    """Figure 7 (a-f) shapes over the six capacity-model panels."""
+    result = suite.benchmark("fig7_capacity")
+
+    def panel(orderers, block_size):
+        return {
+            es: {
+                r: result.value(
+                    "tx_per_sec",
+                    orderers=orderers,
+                    block_size=block_size,
+                    envelope_size=es,
+                    receivers=r,
+                )
+                for r in RECEIVER_COUNTS
+            }
+            for es in ENVELOPE_SIZES
+        }
+
+    panels = {
+        (n, bs): panel(n, bs) for n in CLUSTER_SIZES for bs in BLOCK_SIZES
+    }
+
+    for (orderers, block_size), rows in panels.items():
+        for es in ENVELOPE_SIZES:
+            series = [rows[es][r] for r in RECEIVER_COUNTS]
+            # shape: monotone non-increasing in receivers
+            assert all(a >= b * 0.999 for a, b in zip(series, series[1:]))
+        for r in RECEIVER_COUNTS:
+            by_size = [rows[es][r] for es in ENVELOPE_SIZES]
+            # shape: smaller envelopes never do worse
+            assert all(a >= b * 0.999 for a, b in zip(by_size, by_size[1:]))
+
+    # peak ~50k tx/s for 10-envelope blocks (paper: ~50,000)
+    peak_10 = panels[(4, 10)][40][1]
+    assert 45_000 < peak_10 < 60_000
+    # 100-envelope blocks lift small-envelope throughput
+    assert panels[(4, 100)][40][1] > panels[(4, 10)][40][1]
+    # worst case (10 orderers, 4 KB, 32 receivers) ~2,200 tx/s
+    floor = panels[(10, 100)][4096][32]
+    assert 1_500 < floor < 3_000
+    # receiver impact smaller for big envelopes (relative drop 1->32)
+    drop_small = panels[(4, 10)][40][1] / panels[(4, 10)][40][32]
+    drop_large = panels[(4, 10)][4096][1] / panels[(4, 10)][4096][32]
+    assert drop_large < drop_small
+    # convergence: at 32 receivers, the (cluster, block) spread of each
+    # envelope size is much tighter than at 1 receiver
+    for es in (1024, 4096):
+        at_1 = [panels[key][es][1] for key in panels]
+        at_32 = [panels[key][es][32] for key in panels]
+        assert (max(at_32) / min(at_32)) < (max(at_1) / min(at_1)) * 1.01
+
+
+def figure7_block_rate_about_1100(suite: SuiteResult) -> None:
+    """§6.2: ~1,100 blocks/s when cutting 100-envelope blocks."""
+    result = suite.benchmark("fig7_capacity")
+    block_rate = result.value(
+        "blocks_per_sec", orderers=4, block_size=100, envelope_size=200, receivers=4
+    )
+    assert 300 < block_rate < 3_000
+
+
+def figure7_simulation_cross_validation(suite: SuiteResult) -> None:
+    """Full-stack DES vs capacity model across operating points."""
+    result = suite.benchmark("fig7_lan_sim")
+
+    # propose-bandwidth-bound point: model and sim agree well
+    generated = result.value("generated_tx_per_sec", envelope_size=1024, receivers=2)
+    predicted = result.value("model_tx_per_sec", envelope_size=1024, receivers=2)
+    assert _approx(generated, predicted, rel=0.25)
+    # same order of magnitude in every regime
+    for point in result.points:
+        model = point.metrics["model_tx_per_sec"].median
+        sim = point.metrics["generated_tx_per_sec"].median
+        assert sim > model * 0.3, point.params
+        assert sim < model * 3.0, point.params
+
+
+def receiver_sweep_end_to_end(suite: SuiteResult) -> None:
+    """Figure 7's central trend on the full simulated stack: delivered
+    throughput falls as the receiver count sweeps 1 -> 4 -> 16."""
+    result = suite.benchmark("fig7_lan_sim")
+
+    delivered = dict(
+        result.series("delivered_tx_per_sec", over="receivers", envelope_size=1024)
+    )
+    # the paper's shape: fewer transactions get through as fan-out grows
+    assert delivered[1] >= delivered[4] * 0.99
+    assert delivered[4] > delivered[16]
+    # and the decline is substantial by 16 receivers (NIC-bound)
+    assert delivered[16] < 0.8 * delivered[1]
+    # generation at node 0 stays decoupled from fan-out only until the
+    # NIC saturates; sanity-check it never exceeds the offered load
+    for point in result.points:
+        assert (
+            point.metrics["generated_tx_per_sec"].median
+            <= point.metrics["offered_tx_per_sec"].median * 1.05
+        ), point.params
+
+
+def eq1_holds_for_simulated_measurement(suite: SuiteResult) -> None:
+    """A real (simulated) measurement must stay below the Equation 1
+    bound, like the paper's measured 50k < 84k for 10-envelope blocks.
+
+    The bound is exact in the signing-bound regime (small envelopes);
+    at bandwidth-bound points the short measurement window lets the
+    node-0 signing meter burst briefly above the sustained bound, so
+    those points get a transient tolerance.
+    """
+    result = suite.benchmark("fig7_lan_sim")
+    for point in result.points:
+        bound = eq1_bound(
+            point.params["block_size"],
+            point.params["envelope_size"],
+            point.params["receivers"],
+            n=point.params["orderers"],
+        )
+        generated = point.metrics["generated_tx_per_sec"].median
+        if point.params["envelope_size"] <= 200:
+            assert generated <= bound, point.params
+        else:
+            assert generated <= bound * 1.25, point.params
+
+
 @REGISTRY.register(
     name="fig7_capacity",
     description="Figure 7 (a-f): LAN ordering throughput by cluster "
@@ -129,6 +293,7 @@ def fig6_invariance(ctx: BenchContext) -> Dict[str, float]:
     },
     directions={"tx_per_sec": "higher", "blocks_per_sec": "higher"},
     tags=("figure7", "lan"),
+    checks=(figure7_all_panels, figure7_block_rate_about_1100),
 )
 def fig7_capacity(ctx: BenchContext) -> Dict[str, float]:
     model = OrderingCapacityModel(n=ctx["orderers"])
@@ -163,6 +328,11 @@ def fig7_capacity(ctx: BenchContext) -> Dict[str, float]:
         "offered_tx_per_sec": "higher",
     },
     tags=("figure7", "lan", "sim"),
+    checks=(
+        figure7_simulation_cross_validation,
+        receiver_sweep_end_to_end,
+        eq1_holds_for_simulated_measurement,
+    ),
 )
 def fig7_lan_sim(ctx: BenchContext) -> Dict[str, float]:
     result = simulate_lan_throughput(
@@ -213,6 +383,96 @@ for _region in GEO_FRONTEND_SITES:
     _GEO_DIRECTIONS[f"{_region}_samples"] = "higher"
 
 
+def figure8_geo_latency(suite: SuiteResult) -> None:
+    """Figure 8 shapes: WHEAT beats BFT-SMaRt at every frontend by
+    roughly half, envelope size barely matters, medians stay near half
+    a second."""
+    result = suite.benchmark("fig8_geo")
+
+    for es in ENVELOPE_SIZES:
+        bft = result.point(protocol="bftsmart", envelope_size=es).metrics
+        wheat = result.point(protocol="wheat", envelope_size=es).metrics
+        for region in GEO_FRONTEND_SITES:
+            # shape 1: WHEAT consistently beats BFT-SMaRt
+            assert wheat[f"{region}_median_s"].median < bft[f"{region}_median_s"].median
+            assert wheat[f"{region}_p90_s"].median < bft[f"{region}_p90_s"].median
+            # sanity: enough samples and sustained >1000 tx/s
+            assert bft[f"{region}_samples"].median > 1000
+            assert bft[f"{region}_tx_per_sec"].median > 1000
+            assert wheat[f"{region}_tx_per_sec"].median > 1000
+
+    # shape 2: WHEAT's improvement is large (paper: almost 50%)
+    for es in ENVELOPE_SIZES:
+        bft = result.point(protocol="bftsmart", envelope_size=es).metrics
+        wheat = result.point(protocol="wheat", envelope_size=es).metrics
+        bft_median = min(
+            bft[f"{r}_median_s"].median for r in GEO_FRONTEND_SITES
+        )
+        wheat_median = min(
+            wheat[f"{r}_median_s"].median for r in GEO_FRONTEND_SITES
+        )
+        assert wheat_median < 0.75 * bft_median
+
+    # shape 3: envelope size has minor impact on latency
+    for protocol in ("bftsmart", "wheat"):
+        for region in GEO_FRONTEND_SITES:
+            medians = [
+                result.value(
+                    f"{region}_median_s", protocol=protocol, envelope_size=es
+                )
+                for es in ENVELOPE_SIZES
+            ]
+            assert max(medians) - min(medians) < 0.120
+
+    # shape 4: half-a-second medians with WHEAT (paper's headline)
+    for es in ENVELOPE_SIZES:
+        wheat = result.point(protocol="wheat", envelope_size=es).metrics
+        assert all(
+            wheat[f"{region}_median_s"].median < 0.55
+            for region in GEO_FRONTEND_SITES
+        )
+
+
+def figure9_geo_latency_blocks_of_100(suite: SuiteResult) -> None:
+    """Figure 9 vs Figure 8: 100-envelope blocks cut 10x less often at
+    the same load, so latency rises -- moderately (paper: up to ~63 ms)."""
+    if "fig8_geo" not in {b.benchmark for b in suite.benchmarks}:
+        raise CheckSkipped("needs fig8_geo")
+    small_blocks = suite.benchmark("fig8_geo")
+    large_blocks = suite.benchmark("fig9_geo")
+    envelope_sizes = (200, 1024)  # the fig9 matrix (full sweep in fig8)
+
+    for es in envelope_sizes:
+        for protocol in ("bftsmart", "wheat"):
+            small = small_blocks.point(protocol=protocol, envelope_size=es).metrics
+            large = large_blocks.point(protocol=protocol, envelope_size=es).metrics
+            for region in GEO_FRONTEND_SITES:
+                # shape 1: larger blocks -> higher latency at the same load
+                assert (
+                    large[f"{region}_median_s"].median
+                    > small[f"{region}_median_s"].median * 0.98
+                )
+        # WHEAT still wins with 100-envelope blocks
+        bft = large_blocks.value("virginia_median_s", protocol="bftsmart",
+                                 envelope_size=es)
+        wheat = large_blocks.value("virginia_median_s", protocol="wheat",
+                                   envelope_size=es)
+        assert wheat < bft
+
+    # shape 2: the increase is moderate (tens of milliseconds at this
+    # load, matching the paper's "up to 63 ms higher")
+    for es in envelope_sizes:
+        small = min(
+            small_blocks.value(f"{r}_median_s", protocol="wheat", envelope_size=es)
+            for r in GEO_FRONTEND_SITES
+        )
+        large = min(
+            large_blocks.value(f"{r}_median_s", protocol="wheat", envelope_size=es)
+            for r in GEO_FRONTEND_SITES
+        )
+        assert large - small < 0.400
+
+
 @REGISTRY.register(
     name="fig8_geo",
     description="Figure 8: geo latency with 10-envelope blocks, "
@@ -235,6 +495,7 @@ for _region in GEO_FRONTEND_SITES:
     },
     directions=_GEO_DIRECTIONS,
     tags=("figure8", "geo"),
+    checks=(figure8_geo_latency,),
 )
 def fig8_geo(ctx: BenchContext) -> Dict[str, float]:
     return _geo_metrics(ctx)
@@ -262,6 +523,7 @@ def fig8_geo(ctx: BenchContext) -> Dict[str, float]:
     },
     directions=_GEO_DIRECTIONS,
     tags=("figure9", "geo"),
+    checks=(figure9_geo_latency_blocks_of_100,),
 )
 def fig9_geo(ctx: BenchContext) -> Dict[str, float]:
     return _geo_metrics(ctx)
@@ -270,6 +532,22 @@ def fig9_geo(ctx: BenchContext) -> Dict[str, float]:
 # ----------------------------------------------------------------------
 # Equation 1 and the §8 conclusion comparison
 # ----------------------------------------------------------------------
+def eq1_bounds_hold_everywhere(suite: SuiteResult) -> None:
+    result = suite.benchmark("eq1_bounds")
+    for point in result.points:
+        predicted = point.metrics["predicted_tx_per_sec"].median
+        bound = point.metrics["eq1_bound_tx_per_sec"].median
+        assert predicted <= bound * 1.0001, point.params
+        assert point.metrics["headroom_tx_per_sec"].median >= -1e-6 * bound, point.params
+
+
+def conclusion_comparison_holds(suite: SuiteResult) -> None:
+    result = suite.benchmark("conclusion")
+    # §8: >= 2x Ethereum's theoretical peak, vastly above Bitcoin
+    assert result.value("speedup_vs_ethereum") >= 1.5
+    assert result.value("speedup_vs_bitcoin") > 200
+
+
 @REGISTRY.register(
     name="eq1_bounds",
     description="Equation 1: TP_os <= min(TP_sign*bs, TP_bftsmart); "
@@ -292,6 +570,7 @@ def fig9_geo(ctx: BenchContext) -> Dict[str, float]:
         "headroom_tx_per_sec": "higher",
     },
     tags=("eq1",),
+    checks=(eq1_bounds_hold_everywhere,),
 )
 def eq1_bounds(ctx: BenchContext) -> Dict[str, float]:
     model = OrderingCapacityModel(n=ctx["orderers"])
@@ -319,6 +598,7 @@ def eq1_bounds(ctx: BenchContext) -> Dict[str, float]:
         "speedup_vs_bitcoin": "higher",
     },
     tags=("conclusion",),
+    checks=(conclusion_comparison_holds,),
 )
 def conclusion(ctx: BenchContext) -> Dict[str, float]:
     comparison = conclusion_comparison()
@@ -332,6 +612,48 @@ def conclusion(ctx: BenchContext) -> Dict[str, float]:
 # ----------------------------------------------------------------------
 # Ablations
 # ----------------------------------------------------------------------
+def wheat_ablation(suite: SuiteResult) -> None:
+    """Each WHEAT mechanism alone beats the baseline; together they win."""
+    result = suite.benchmark("ablation_wheat")
+
+    by_config = {
+        (p.params["weights"], p.params["tentative"]): p.metrics["median_s"].median
+        for p in result.points
+    }
+    baseline = by_config[(False, False)]
+    weights_only = by_config[(True, False)]
+    tentative_only = by_config[(False, True)]
+    full_wheat = by_config[(True, True)]
+
+    # each mechanism alone improves on the baseline
+    assert weights_only < baseline
+    assert tentative_only < baseline
+    # the full combination is the best configuration
+    assert full_wheat <= min(weights_only, tentative_only) * 1.05
+    # and the combined gain is substantial
+    assert full_wheat < 0.8 * baseline
+
+
+def batch_limit_ablation(suite: SuiteResult) -> None:
+    """Batching amortizes per-consensus vote traffic, so small batches
+    hurt small-envelope throughput and barely matter for 4 KB envelopes
+    (bandwidth-bound)."""
+    result = suite.benchmark("ablation_batching")
+    batches = (1, 10, 50, 100, 400)
+
+    small = [
+        result.value("tx_per_sec", batch_limit=b, envelope_size=40)
+        for b in batches
+    ]
+    assert all(a <= b * 1.0001 for a, b in zip(small, small[1:]))  # monotone
+    assert small[-1] > 1.5 * small[0]  # batching matters a lot
+    large = [
+        result.value("tx_per_sec", batch_limit=b, envelope_size=4096)
+        for b in (10, 50, 100, 400)
+    ]
+    assert max(large) < min(large) * 1.05  # 4 KB is bandwidth-bound
+
+
 @REGISTRY.register(
     name="ablation_wheat",
     description="WHEAT ablation: vote weights and tentative execution "
@@ -354,6 +676,7 @@ def conclusion(ctx: BenchContext) -> Dict[str, float]:
     },
     directions={"median_s": "lower", "p90_s": "lower"},
     tags=("ablation", "geo"),
+    checks=(wheat_ablation,),
 )
 def ablation_wheat(ctx: BenchContext) -> Dict[str, float]:
     row = wheat_ablation_point(
@@ -388,6 +711,7 @@ def ablation_wheat(ctx: BenchContext) -> Dict[str, float]:
     },
     directions={"tx_per_sec": "higher"},
     tags=("ablation", "lan"),
+    checks=(batch_limit_ablation,),
 )
 def ablation_batching(ctx: BenchContext) -> Dict[str, float]:
     model = OrderingCapacityModel(n=ctx["orderers"], batch_limit=ctx["batch_limit"])
@@ -451,6 +775,28 @@ def _run_bft(envelopes: int, envelope_size: int, block_size: int):
 
 
 _BASELINE_RUNNERS = {"solo": _run_solo, "kafka": _run_kafka, "bft": _run_bft}
+
+
+def baseline_orderer_comparison(suite: SuiteResult) -> None:
+    """§3: the BFT service pays a modest latency premium over solo and
+    Kafka-CFT on a LAN; all three order everything."""
+    result = suite.benchmark("baseline_orderers")
+
+    envelopes = result.points[0].params["envelopes"]
+    block = result.points[0].params["block_size"]
+    expected_blocks = envelopes // block
+    # all three order everything
+    for point in result.points:
+        assert point.metrics["blocks"].median == expected_blocks, point.params
+
+    solo = result.value("median_latency_s", orderer="solo")
+    kafka = result.value("median_latency_s", orderer="kafka")
+    bft = result.value("median_latency_s", orderer="bft")
+    # solo is fastest (no replication), BFT costs more than Kafka-CFT,
+    # but all stay in the same order of magnitude on a LAN
+    assert solo <= kafka
+    assert kafka <= bft * 1.5
+    assert bft < 0.05
 
 
 # ----------------------------------------------------------------------
@@ -524,18 +870,24 @@ def recovery_time(ctx: BenchContext) -> Dict[str, float]:
     )
     # keep running until the restarted replica finishes its rejoin (its
     # state transfer may complete after the last client delivery)
+    deadline = service.sim.now + 30.0
     service.sim.run_until(
         lambda: (replica.recovery_stats or {}).get("rejoined_at") is not None,
-        service.sim.now + 30.0,
+        deadline,
     )
     stats = replica.recovery_stats or {}
     rejoined_at = stats.get("rejoined_at")
-    started = stats.get("started", 0.0)
+    if rejoined_at is None:
+        # no sentinel value: a "lower is better" -1 would read as a win
+        raise RuntimeError(
+            f"recovery_time: replica {replica.replica_id} did not rejoin by "
+            f"simulated t={deadline:.3f}s"
+        )
     replay_s = stats.get("replay_s", 0.0)
-    total_s = (rejoined_at - started) if rejoined_at is not None else -1.0
+    total_s = rejoined_at - stats.get("started", 0.0)
     return {
         "replay_s": replay_s,
-        "rejoin_s": (total_s - replay_s) if rejoined_at is not None else -1.0,
+        "rejoin_s": total_s - replay_s,
         "recovery_total_s": total_s,
         "state_transfer_bytes": float(stats.get("state_transfer_bytes", 0)),
         "replayed_batches": float(stats.get("replayed_batches", 0)),
@@ -561,6 +913,7 @@ def recovery_time(ctx: BenchContext) -> Dict[str, float]:
     },
     directions={"median_latency_s": "lower", "blocks": "higher"},
     tags=("baselines", "lan"),
+    checks=(baseline_orderer_comparison,),
 )
 def baseline_orderers(ctx: BenchContext) -> Dict[str, float]:
     runner = _BASELINE_RUNNERS[ctx["orderer"]]
@@ -681,6 +1034,44 @@ def bakeoff_orderers(ctx: BenchContext) -> Dict[str, float]:
 # ----------------------------------------------------------------------
 # Overload: goodput under open-loop pressure and adversarial floods
 # ----------------------------------------------------------------------
+def goodput_saturates_instead_of_collapsing(suite: SuiteResult) -> None:
+    """Goodput at 4x the saturation load stays within 80% of the peak."""
+    result = suite.benchmark("overload")
+    for adversary in ("none", "duplicate-flood"):
+        goodput = {
+            point.params["load_multiplier"]: point.metrics["goodput_per_s"].median
+            for point in result.points
+            if point.params["adversary"] == adversary
+        }
+        peak = max(goodput.values())
+        assert goodput[4.0] >= 0.8 * peak, (adversary, goodput)
+        # below the knee the service keeps up with what is offered
+        assert goodput[0.5] < goodput[4.0] * 1.2, (adversary, goodput)
+
+
+def p99_admitted_latency_stays_bounded(suite: SuiteResult) -> None:
+    """Backpressure sheds excess instead of queueing it."""
+    result = suite.benchmark("overload")
+    for point in result.points:
+        assert point.metrics["p99_latency_s"].median < 1.0, point.params
+
+
+def fairness_survives_duplicate_flood(suite: SuiteResult) -> None:
+    """Jain fairness over the honest tenants stays >= 0.9, flood or not."""
+    result = suite.benchmark("overload")
+    for point in result.points:
+        assert point.metrics["fairness"].median >= 0.9, point.params
+
+
+def overload_sheds_explicitly(suite: SuiteResult) -> None:
+    result = suite.benchmark("overload")
+    for point in result.points:
+        shed = point.metrics["shed_fraction"].median
+        if point.params["load_multiplier"] >= 4.0:
+            assert shed > 0.5, point.params
+        assert shed < 1.0, point.params
+
+
 @REGISTRY.register(
     name="overload",
     description="Open-loop overload sweep: per-tenant goodput, p99 "
@@ -713,6 +1104,12 @@ def bakeoff_orderers(ctx: BenchContext) -> Dict[str, float]:
         "committed": "higher",
     },
     tags=("overload", "workload", "admission"),
+    checks=(
+        goodput_saturates_instead_of_collapsing,
+        p99_admitted_latency_stays_bounded,
+        fairness_survives_duplicate_flood,
+        overload_sheds_explicitly,
+    ),
 )
 def overload(ctx: BenchContext) -> Dict[str, float]:
     from repro.ordering import AdmissionConfig

@@ -13,19 +13,23 @@ import random
 import pytest
 
 from repro.bench import suite  # noqa: F401 - populates REGISTRY
+from repro.bench import harness
 from repro.bench.harness import (
     REGISTRY,
     BenchContext,
     Benchmark,
     BenchmarkRegistry,
+    CheckSkipped,
     DuplicateBenchmarkError,
     SCHEMA,
     SchemaError,
+    SuiteResult,
     default_direction,
     environment_fingerprint,
     load_result,
     render_suite,
     run_benchmark,
+    run_checks,
     run_suite,
     validate_result,
     write_result,
@@ -318,6 +322,169 @@ class TestCliSubcommands:
         from repro.bench.__main__ import main
 
         assert main(["run", "--only", "zzz", "--out", str(tmp_path / "x.json")]) == 2
+
+
+def _value_is_12(run):
+    assert run.benchmark("toy_checked").value("value", x=1) == 12.0
+
+
+def _value_is_13(run):
+    assert run.benchmark("toy_checked").value("value", x=1) == 13.0
+
+
+def _checked(*checks):
+    return Benchmark(
+        name="toy_checked",
+        run=_toy,
+        matrix={"x": (1,), "y": (2,)},
+        smoke_matrix={"x": (1,), "y": (3,)},
+        checks=checks,
+    )
+
+
+class TestDeclaredChecks:
+    def test_failing_check_gives_one_message(self):
+        bench = _checked(_value_is_12, _value_is_13)
+        suite_result = run_suite([bench], run_name="r", mode="full")
+        lines = []
+        failures = run_checks(suite_result, [bench], report=lines.append)
+        assert len(failures) == 1
+        assert failures[0].startswith("toy_checked._value_is_13: ")
+        assert "== 13.0" in failures[0]  # the failing assert's source line
+        assert lines == [
+            "toy_checked._value_is_12: ok",
+            f"toy_checked._value_is_13: FAIL: {failures[0].split(': ', 1)[1]}",
+        ]
+
+    def test_passing_checks_give_no_messages(self):
+        bench = _checked(_value_is_12)
+        suite_result = run_suite([bench], run_name="r", mode="full")
+        assert run_checks(suite_result, [bench]) == []
+
+    def test_smoke_mode_evaluates_no_checks(self):
+        def must_not_run(_suite):
+            raise RuntimeError("smoke runs evaluate no checks")
+
+        bench = _checked(must_not_run)
+        suite_result = run_suite([bench], run_name="r", mode="smoke")
+        lines = []
+        assert run_checks(suite_result, [bench], report=lines.append) == []
+        assert lines == []
+
+    def test_skipped_check_is_not_a_failure(self):
+        def needs_other(_suite):
+            raise CheckSkipped("needs other")
+
+        bench = _checked(needs_other)
+        suite_result = run_suite([bench], run_name="r", mode="full")
+        lines = []
+        assert run_checks(suite_result, [bench], report=lines.append) == []
+        assert lines == ["toy_checked.needs_other: skipped: needs other"]
+
+    def test_fig9_check_skips_without_fig8(self):
+        empty = SuiteResult(
+            run_name="r", mode="full", created_unix=0.0, environment={},
+            benchmarks=[],
+        )
+        with pytest.raises(CheckSkipped, match="needs fig8_geo"):
+            suite.figure9_geo_latency_blocks_of_100(empty)
+
+    def _cli(self, monkeypatch, tmp_path, bench):
+        from repro.bench.__main__ import main
+
+        registry = BenchmarkRegistry()
+        registry.add(bench)
+        monkeypatch.setattr(harness, "REGISTRY", registry)
+        path = tmp_path / "BENCH_toy.json"
+        code = main(["run", "--name", "toy", "--out", str(path), "--quiet"])
+        return code, path
+
+    def test_run_exits_1_after_writing_json(self, monkeypatch, tmp_path, capsys):
+        code, path = self._cli(
+            monkeypatch, tmp_path, _checked(_value_is_12, _value_is_13)
+        )
+        assert code == 1
+        assert load_result(str(path))["benchmarks"][0]["benchmark"] == "toy_checked"
+        out = capsys.readouterr().out
+        assert "toy_checked._value_is_12: ok" in out
+        assert "toy_checked._value_is_13: FAIL: " in out
+
+    def test_run_exits_0_when_checks_pass(self, monkeypatch, tmp_path, capsys):
+        code, path = self._cli(monkeypatch, tmp_path, _checked(_value_is_12))
+        assert code == 0
+        assert path.exists()
+        assert "toy_checked._value_is_12: ok" in capsys.readouterr().out
+
+    def test_optimized_interpreter_refuses_to_check(self, tmp_path):
+        # -O strips the checks' asserts; a silent "ok" would be a lie
+        import os
+        import subprocess
+        import sys
+
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "repro.bench", "run", "--only",
+             "conclusion", "--out", str(tmp_path / "B.json"), "--quiet"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode != 0
+        assert "without python -O" in proc.stderr
+        assert "conclusion_comparison_holds: ok" not in proc.stdout
+
+    def test_expand_spec_drops_checks(self):
+        from repro.bench.spec import expand_spec, parse_spec
+
+        registry = BenchmarkRegistry()
+        registry.add(_checked(_value_is_12))
+        spec = parse_spec(
+            {
+                "schema": "repro-bench-spec/1",
+                "name": "demo",
+                "select": {"benchmarks": ["toy_checked"]},
+                "matrix": {"x": [5]},
+            }
+        )
+        (derived,) = expand_spec(spec, registry=registry)
+        assert derived.checks == ()
+
+    @pytest.mark.parametrize(
+        "name",
+        ["fig6_invariance", "fig7_capacity", "eq1_bounds", "conclusion",
+         "ablation_batching"],
+    )
+    def test_analytic_checks_hold_on_full_matrices(self, name):
+        bench = REGISTRY.get(name)
+        assert bench.checks
+        suite_result = run_suite([bench], run_name="full", mode="full")
+        lines = []
+        assert run_checks(suite_result, [bench], report=lines.append) == []
+        assert len(lines) == len(bench.checks)
+
+    def test_checked_benchmarks(self):
+        checked = {b.name: len(b.checks) for b in REGISTRY if b.checks}
+        assert checked == {
+            "fig6_signing": 1,
+            "fig6_invariance": 1,
+            "fig7_capacity": 2,
+            "fig7_lan_sim": 3,
+            "fig8_geo": 1,
+            "fig9_geo": 1,
+            "eq1_bounds": 1,
+            "conclusion": 1,
+            "ablation_wheat": 1,
+            "ablation_batching": 1,
+            "baseline_orderers": 1,
+            "overload": 4,
+        }
+
+
+class TestRecoveryBenchmark:
+    def test_replica_that_never_rejoins_raises(self, monkeypatch):
+        from repro.smart.replica import ServiceReplica
+
+        monkeypatch.setattr(ServiceReplica, "recover", lambda self: None)
+        with pytest.raises(RuntimeError, match="replica 1 did not rejoin"):
+            run_benchmark(REGISTRY.get("recovery_time"), mode="smoke")
 
 
 @pytest.mark.bench

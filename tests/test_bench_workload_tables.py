@@ -1,15 +1,7 @@
-"""Tests for workload generators, table rendering and the CLI."""
+"""Tests for workload generators and ordering-service config validation."""
 
 import pytest
 
-from repro.bench.tables import (
-    render_ablation,
-    render_conclusion,
-    render_figure6,
-    render_figure7_panel,
-    render_lan_sim,
-)
-from repro.bench.figures import AblationResult, LanSimResult
 from repro.bench.workload import ClosedLoopClients, OpenLoopGenerator, envelope_stream
 from repro.fabric.channel import ChannelConfig
 from repro.ordering import OrderingServiceConfig, build_ordering_service
@@ -236,71 +228,6 @@ class TestClosedLoopClients:
         clients.start()
         assert clients.submitted == 3
         assert len(clients._outstanding) == 3
-
-
-class TestRendering:
-    def test_render_figure6(self):
-        text = render_figure6({1: {"measured": 800.0, "model": 808.0}})
-        assert "807" in text or "800" in text
-        assert "Figure 6" in text
-
-    def test_render_figure7_panel(self):
-        panel = {40: {1: 50000.0, 32: 15000.0}}
-        text = render_figure7_panel(4, 10, panel)
-        assert "4 orderers" in text
-        assert "50.0" in text and "15.0" in text
-
-    def test_render_lan_sim(self):
-        result = LanSimResult(4, 10, 1024, 2, 25000.0, 22800.0, 22700.0, 22242.0)
-        text = render_lan_sim([result])
-        assert "22800" in text
-
-    def test_render_conclusion(self):
-        text = render_conclusion(
-            {
-                "bft_ordering_worst_case": 1986.0,
-                "ethereum_theoretical_peak": 1000.0,
-                "bitcoin_peak": 7.0,
-                "speedup_vs_ethereum": 1.986,
-                "speedup_vs_bitcoin": 283.7,
-            }
-        )
-        assert "1986" in text and "Ethereum" in text
-
-    def test_render_ablation(self):
-        rows = [AblationResult(True, True, 0.278, 0.345)]
-        text = render_ablation(rows)
-        assert "278" in text
-
-
-class TestCli:
-    def test_figure6_via_cli(self, capsys):
-        from repro.bench.__main__ import main
-
-        assert main(["--figure", "6"]) == 0
-        out = capsys.readouterr().out
-        assert "Figure 6" in out
-        assert "8400" in out
-
-    def test_figure7_via_cli(self, capsys):
-        from repro.bench.__main__ import main
-
-        assert main(["--figure", "7", "--orderers", "4", "--block-size", "10"]) == 0
-        out = capsys.readouterr().out
-        assert "4 orderers, 10 envelopes/block" in out
-
-    def test_eq1_via_cli(self, capsys):
-        from repro.bench.__main__ import main
-
-        assert main(["--figure", "eq1"]) == 0
-        out = capsys.readouterr().out
-        assert "Equation 1" in out and "Ethereum" in out
-
-    def test_bad_figure_rejected(self):
-        from repro.bench.__main__ import main
-
-        with pytest.raises(SystemExit):
-            main(["--figure", "99"])
 
 
 class TestServiceConfigValidation:

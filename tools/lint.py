@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import List, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-LINT_PATHS = ("src", "tests", "tools", "benchmarks", "examples")
+LINT_PATHS = ("src", "tests", "tools", "examples")
 
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
