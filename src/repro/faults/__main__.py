@@ -16,6 +16,7 @@ import argparse
 import sys
 
 from repro.faults.explorer import (
+    PROFILES,
     ExplorerConfig,
     run_seed,
     shrink_schedule,
@@ -46,18 +47,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="simulated time when all faults heal (default 3.0)")
     parser.add_argument("--deadline", type=float, default=60.0,
                         help="simulated-time liveness budget (default 60.0)")
-    parser.add_argument("--profile",
-                        choices=("default", "recovery", "smartbft", "overload"),
-                        default="default",
-                        help="schedule space: 'default' (historical kinds), "
-                        "'recovery' (amnesiac crash_restart + storage faults "
-                        "against durable-WAL replicas; see docs/RECOVERY.md), "
-                        "'smartbft' (leader censorship + message/crash "
-                        "faults against the SmartBFT backend; see "
-                        "docs/SMARTBFT.md), or 'overload' (adversarial "
-                        "client floods against the admission-controlled "
-                        "service, plus the no-silent-drop backpressure "
-                        "invariant; see docs/WORKLOADS.md)")
+    parser.add_argument("--profile", choices=tuple(PROFILES), default="default",
+                        help="schedule space: " + "; ".join(
+                            f"'{name}' ({profile.description})"
+                            for name, profile in PROFILES.items()))
     parser.add_argument("--shrink", action="store_true",
                         help="minimize failing schedules by event removal")
     parser.add_argument("--trace", action="store_true",
@@ -70,13 +63,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> ExplorerConfig:
+def config_from_args(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> ExplorerConfig:
+    """Build the run's config, turning out-of-range values into usage
+    errors (exit status 2)."""
     f = args.f
     if args.n is not None:
-        if (args.n - 1) % 3:
-            raise SystemExit(f"--n must be 3f+1 (got {args.n})")
+        if args.n < 4 or (args.n - 1) % 3:
+            parser.error(f"--n must be 3f+1 with f >= 1 (got {args.n})")
         f = (args.n - 1) // 3
-    return ExplorerConfig(
+    for flag, value in (("--f", f), ("--envelopes", args.envelopes),
+                        ("--max-events", args.max_events)):
+        if value < 1:
+            parser.error(f"{flag} must be at least 1 (got {value})")
+    cfg = ExplorerConfig(
         f=f,
         envelopes=args.envelopes,
         max_events=args.max_events,
@@ -84,11 +85,21 @@ def config_from_args(args: argparse.Namespace) -> ExplorerConfig:
         deadline=args.deadline,
         profile=args.profile,
     )
+    window_end = cfg.fault_window[1]
+    if cfg.heal_at <= window_end:
+        # a fault may start at the window's end, and none may start
+        # at or after the heal
+        parser.error(
+            f"--heal-at must be later than {window_end:g}, the end of the "
+            f"fault window (got {cfg.heal_at:g})"
+        )
+    return cfg
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = config_from_args(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    cfg = config_from_args(args, parser)
     if args.seed is not None:
         seeds = [args.seed]
     else:

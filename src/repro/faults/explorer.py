@@ -1,10 +1,10 @@
 """Seeded randomized fault-schedule exploration (a mini-Jepsen).
 
 ``run_seed(seed)`` derives a fault schedule from the seed, stands up a
-complete ordering-service deployment (``3f+1`` BFT-SMaRt replicas +
-ordering nodes + frontends) on a fresh simulator, drives an envelope
-workload through it while the schedule fires, heals every fault, runs
-to quiescence, and checks the global invariants of
+complete ordering-service deployment (``3f+1`` replicas of the
+profile's backend + ordering nodes + frontends) on a fresh simulator,
+drives an envelope workload through it while the schedule fires, heals
+every fault, runs to quiescence, and checks the global invariants of
 :mod:`repro.faults.invariants`.
 
 Everything is derived deterministically from the seed: the same seed
@@ -12,12 +12,17 @@ produces a byte-identical fault trace and identical final ledger
 hashes, which is what makes a failing seed *reproducible*.  A failing
 schedule can additionally be *shrunk* to a locally-minimal fault trace
 (greedy one-event removal, re-running after each candidate).
+
+A :class:`Profile` record in :data:`PROFILES` describes each schedule
+space -- fault kinds, leading kind, backend and deployment options --
+and one table-driven sampler serves them all.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.crypto.hashing import sha256_hex
 from repro.fabric.channel import ChannelConfig
@@ -32,6 +37,7 @@ from repro.faults.actions import (
     Drop,
     Duplicate,
     EquivocatePropose,
+    FaultAction,
     FloodClient,
     Match,
     Partition,
@@ -58,6 +64,97 @@ from repro.ordering.service import (
 from repro.sim.randomness import RandomStreams
 
 
+@dataclass(frozen=True)
+class Profile:
+    """One schedule space of the explorer, as data."""
+
+    #: one line for ``--profile`` help
+    description: str
+    #: random stream the sampler draws from; each profile has its own,
+    #: so adding or changing one never shifts another's seeds
+    stream: str
+    #: fault kinds ``rng.choice`` draws from; the order is part of every
+    #: seed's schedule
+    kinds: Tuple[str, ...]
+    #: kind of the first event, taken without a draw (``None``: drawn)
+    lead: Optional[str] = None
+    #: ``OrderingServiceConfig.orderer`` of the deployment
+    backend: str = "bftsmart"
+    #: durable consensus WALs, plus the no-equivocation-by-amnesia check
+    durable_wal: bool = False
+    #: admission control; when set, count-based liveness gives way to the
+    #: no-silent-drop invariant, because explicit rejections legitimately
+    #: shrink commits
+    admission: Optional[AdmissionConfig] = None
+
+
+#: The explorer's schedule spaces by name (``ExplorerConfig.profile``).
+PROFILES: Dict[str, Profile] = {
+    # the historical schedule space: seeds stay byte-identical
+    "default": Profile(
+        description="message faults, one crash, one partition and one "
+        "Byzantine replica against BFT-SMaRt",
+        stream="fault-schedule",
+        kinds=("drop", "delay", "duplicate", "reorder", "crash",
+               "partition", "equivocate", "corrupt-writes"),
+    ),
+    # Byzantine kinds are excluded so the vote-equivocation check only
+    # ever fires on a protocol failure (an amnesiac replica contradicting
+    # its pre-crash votes), never on injected equivocation.  Bit-rot is
+    # left to unit tests: corrupting already-synced data is outside the
+    # crash fault model.  See docs/RECOVERY.md.
+    "recovery": Profile(
+        description="amnesiac crash_restart and storage faults against "
+        "durable-WAL replicas; see docs/RECOVERY.md",
+        stream="fault-schedule/recovery",
+        kinds=("drop", "delay", "duplicate", "reorder", "crash_restart",
+               "partition"),
+        lead="crash_restart",
+        durable_wal=True,
+    ),
+    # censor is the fault SmartBFT's leader rotation and censorship
+    # blacklist exist to defeat.  equivocate/corrupt-writes forge Propose
+    # and Write messages SmartBFT never sends; amnesiac restarts are left
+    # to the smart2 unit tests, because SmartBFT recovers by peer state
+    # transfer, not WAL replay.  See docs/SMARTBFT.md.
+    "smartbft": Profile(
+        description="leader censorship plus message and crash faults "
+        "against the SmartBFT backend; see docs/SMARTBFT.md",
+        stream="fault-schedule/smartbft",
+        kinds=("drop", "delay", "duplicate", "reorder", "crash",
+               "partition", "censor"),
+        lead="censor",
+        backend="smartbft",
+    ),
+    # Byzantine replica kinds are excluded so every violation under
+    # overload is attributable to the backpressure path.  The admission
+    # budget is generous enough that the honest workload passes
+    # untouched while floods are shed explicitly.  See docs/WORKLOADS.md.
+    "overload": Profile(
+        description="client floods against the admission-controlled "
+        "service, plus the no-silent-drop invariant; see docs/WORKLOADS.md",
+        stream="fault-schedule/overload",
+        kinds=("flood", "drop", "delay", "duplicate", "reorder", "crash",
+               "partition"),
+        lead="flood",
+        admission=AdmissionConfig(
+            tenant_rate=200.0, tenant_burst=50.0, max_in_flight=256
+        ),
+    ),
+}
+
+
+def profile_named(name: str) -> Profile:
+    """The :data:`PROFILES` record called ``name``."""
+    try:
+        return PROFILES[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown explorer profile {name!r}; "
+            f"known profiles: {', '.join(PROFILES)}"
+        ) from None
+
+
 @dataclass
 class ExplorerConfig:
     """Knobs of one exploration run (defaults: f=1, n=4, LAN)."""
@@ -80,23 +177,11 @@ class ExplorerConfig:
     deadline: float = 60.0
     min_events: int = 1
     max_events: int = 4
-    #: "default" keeps the historical schedule space (byte-identical
-    #: seeds); "recovery" samples amnesiac crash_restart + storage
-    #: faults against a durable-WAL deployment and additionally checks
-    #: the no-equivocation-by-amnesia invariant (docs/RECOVERY.md);
-    #: "smartbft" runs the same invariants against the SmartBFT backend
-    #: (repro.smart2), sampling leader censorship alongside the message
-    #: and crash faults (docs/SMARTBFT.md); "overload" enables admission
-    #: control, leads every schedule with an adversarial client flood
-    #: and additionally checks the no-silent-drop backpressure
-    #: invariant (docs/WORKLOADS.md)
+    #: name of the schedule space, a key of :data:`PROFILES`
     profile: str = "default"
-    #: admission-control knobs of the overload profile (per tenant and
-    #: per frontend; generous enough that the honest workload passes
-    #: untouched while floods are shed explicitly)
-    admission_rate: float = 200.0
-    admission_burst: float = 50.0
-    admission_window: int = 256
+
+    def __post_init__(self) -> None:
+        profile_named(self.profile)
 
     @property
     def n(self) -> int:
@@ -123,335 +208,149 @@ class RunResult:
         return not self.violations
 
 
-#: Fault kinds the sampler draws from.  ``crash``, ``partition`` and the
-#: two Byzantine kinds are sampled at most once per schedule so the
-#: fault assumption (at most f=1 Byzantine replica, quorums eventually
-#: available) is never exceeded by construction.
-KINDS = (
-    "drop",
-    "delay",
-    "duplicate",
-    "reorder",
-    "crash",
-    "partition",
-    "equivocate",
-    "corrupt-writes",
-)
+# One builder per fault kind: ``(rng, cfg, index, uses) -> action``,
+# where ``index`` is the event's position in the schedule and ``uses``
+# how many earlier events drew from the kind's budget.  Each builder's
+# draws, and their order, are part of every seed's schedule.
+Builder = Callable[[random.Random, ExplorerConfig, int, int], FaultAction]
 
 
-#: Fault kinds of the recovery profile.  Byzantine kinds are excluded
-#: on purpose: the vote-equivocation check must only ever fire on a
-#: *protocol* failure (an amnesiac replica contradicting its pre-crash
-#: votes), never on deliberately injected equivocation.  Bit-rot is
-#: exercised by unit tests instead -- corrupting already-synced data is
-#: outside the crash fault model the explorer samples.
-RECOVERY_KINDS = (
-    "drop",
-    "delay",
-    "duplicate",
-    "reorder",
-    "crash_restart",
-    "partition",
-)
+def _link(rng: random.Random, cfg: ExplorerConfig) -> Match:
+    src, dst = rng.sample(range(cfg.n), 2)
+    return Match(src=src, dst=dst)
 
 
-#: Fault kinds of the smartbft profile.  ``censor`` is the profile's
-#: signature Byzantine fault (the leader-side request censorship the
-#: rotation blacklist exists to defeat); the BFT-SMaRt-specific
-#: Byzantine kinds (``equivocate``/``corrupt-writes`` forge Propose and
-#: Write messages SmartBFT never sends) are excluded.  Amnesiac
-#: restarts are exercised by the smart2 unit tests -- SmartBFT recovers
-#: by peer state transfer, not WAL replay, so the vote-equivocation
-#: machinery has nothing to record.
-SMARTBFT_KINDS = (
-    "drop",
-    "delay",
-    "duplicate",
-    "reorder",
-    "crash",
-    "partition",
-    "censor",
-)
+def _drop(rng: random.Random, cfg: ExplorerConfig, index: int, uses: int) -> FaultAction:
+    match = _link(rng, cfg)
+    rate = round(rng.uniform(0.3, 0.9), 2)
+    return Drop(match, rate=rate, stream=f"drop-{index}")
 
 
-#: Fault kinds of the overload profile.  ``flood`` is the signature
-#: fault (an adversarial client hammering one frontend with duplicate
-#: submissions over the wire); the Byzantine replica kinds are excluded
-#: so every violation under overload is attributable to the
-#: backpressure path, not to forged protocol messages.
-OVERLOAD_KINDS = (
-    "flood",
-    "drop",
-    "delay",
-    "duplicate",
-    "reorder",
-    "crash",
-    "partition",
-)
+def _delay(rng: random.Random, cfg: ExplorerConfig, index: int, uses: int) -> FaultAction:
+    match = _link(rng, cfg)
+    return Delay(match, delay=round(rng.uniform(0.02, 0.15), 3))
+
+
+def _duplicate(rng: random.Random, cfg: ExplorerConfig, index: int, uses: int) -> FaultAction:
+    match = _link(rng, cfg)
+    return Duplicate(match, copies=rng.randint(2, 3), spacing=0.004)
+
+
+def _reorder(rng: random.Random, cfg: ExplorerConfig, index: int, uses: int) -> FaultAction:
+    match = _link(rng, cfg)
+    delay = round(rng.uniform(0.01, 0.06), 3)
+    rate = round(rng.uniform(0.4, 1.0), 2)
+    return Reorder(match, delay=delay, rate=rate, stream=f"reorder-{index}")
+
+
+def _crash(rng: random.Random, cfg: ExplorerConfig, index: int, uses: int) -> FaultAction:
+    return CrashReplica(rng.randrange(cfg.n))
+
+
+def _crash_restart(rng: random.Random, cfg: ExplorerConfig, index: int, uses: int) -> FaultAction:
+    # half the restarts (per the stream) leave a torn tail on the
+    # victim's disk; the rest lose only the unsynced suffix
+    victim = rng.randrange(cfg.n)
+    return CrashReplica(victim, amnesia=True, torn_tail=rng.random() < 0.5)
+
+
+def _partition(rng: random.Random, cfg: ExplorerConfig, index: int, uses: int) -> FaultAction:
+    n = cfg.n
+    size = rng.randint(1, n // 2)
+    isolated = sorted(rng.sample(range(n), size))
+    return Partition(isolated, [p for p in range(n) if p not in isolated])
+
+
+def _equivocate(rng: random.Random, cfg: ExplorerConfig, index: int, uses: int) -> FaultAction:
+    return EquivocatePropose(0, rng.randrange(1, cfg.n))
+
+
+def _corrupt_writes(rng: random.Random, cfg: ExplorerConfig, index: int, uses: int) -> FaultAction:
+    return CorruptWrites(rng.randrange(cfg.n))
+
+
+def _censor(rng: random.Random, cfg: ExplorerConfig, index: int, uses: int) -> FaultAction:
+    client = FRONTEND_ID_BASE + rng.randrange(cfg.num_frontends)
+    return CensorClients(rng.randrange(cfg.n), {client})
+
+
+def _flood(rng: random.Random, cfg: ExplorerConfig, index: int, uses: int) -> FaultAction:
+    # each flood gets its own attacker id and pinned envelope-id block,
+    # keeping run digests reproducible
+    target = FRONTEND_ID_BASE + rng.randrange(cfg.num_frontends)
+    rate = round(rng.uniform(400.0, 2000.0), 1)
+    return FloodClient(
+        target,
+        rate=rate,
+        channel=cfg.channel,
+        payload_size=cfg.payload_size,
+        submitter=f"mallory{uses}",
+        unique_every=rng.randint(1, 6),
+        id_base=FLOOD_ID_BASE + uses * 1_000_000,
+        attacker_id=ATTACKER_ID_BASE + uses,
+    )
+
+
+_BUILDERS: Dict[str, Builder] = {
+    "drop": _drop,
+    "delay": _delay,
+    "duplicate": _duplicate,
+    "reorder": _reorder,
+    "crash": _crash,
+    "crash_restart": _crash_restart,
+    "partition": _partition,
+    "equivocate": _equivocate,
+    "corrupt-writes": _corrupt_writes,
+    "censor": _censor,
+    "flood": _flood,
+}
+
+#: Kinds that share one budget: at most one Byzantine replica action.
+_BUDGET_GROUP = {"equivocate": "byzantine", "corrupt-writes": "byzantine"}
+_ONCE = ("crash", "crash_restart", "partition", "censor", "byzantine")
+
+
+def _budget(group: str, cfg: ExplorerConfig) -> Optional[int]:
+    """How many events of ``group`` one schedule may hold (``None``:
+    unlimited).
+
+    ``crash``, ``crash_restart``, ``partition``, ``censor`` and the
+    shared Byzantine group occur at most once, so the fault assumption
+    (at most one faulty replica, well within f; quorums eventually
+    available) holds by construction.  ``flood`` occurs at most ``num_frontends`` times; the
+    target frontend is drawn per flood, so one frontend may be flooded
+    more than once.
+    """
+    if group == "flood":
+        return cfg.num_frontends
+    return 1 if group in _ONCE else None
 
 
 def sample_schedule(seed: int, cfg: Optional[ExplorerConfig] = None) -> List[FaultEvent]:
-    """Derive a fault schedule deterministically from ``seed``."""
+    """Derive a fault schedule deterministically from ``seed``.
+
+    An over-budget draw (see :func:`_budget`) becomes a ``delay``.
+    """
     cfg = cfg or ExplorerConfig()
-    if cfg.profile == "recovery":
-        return _sample_recovery_schedule(seed, cfg)
-    if cfg.profile == "smartbft":
-        return _sample_smartbft_schedule(seed, cfg)
-    if cfg.profile == "overload":
-        return _sample_overload_schedule(seed, cfg)
-    rng = RandomStreams(seed).stream("fault-schedule")
-    n = cfg.n
+    profile = profile_named(cfg.profile)
+    rng = RandomStreams(seed).stream(profile.stream)
     count = rng.randint(cfg.min_events, cfg.max_events)
-    crash_used = split_used = byz_used = False
+    used: Dict[str, int] = {}
     events: List[FaultEvent] = []
     for index in range(count):
-        kind = rng.choice(KINDS)
+        if index == 0 and profile.lead is not None:
+            kind = profile.lead
+        else:
+            kind = rng.choice(profile.kinds)
         at = round(rng.uniform(*cfg.fault_window), 3)
         duration = round(rng.uniform(0.4, 1.5), 3)
-        if kind == "crash" and crash_used:
-            kind = "delay"
-        if kind == "partition" and split_used:
-            kind = "delay"
-        if kind in ("equivocate", "corrupt-writes") and byz_used:
-            kind = "delay"
-
-        if kind == "drop":
-            src, dst = rng.sample(range(n), 2)
-            rate = round(rng.uniform(0.3, 0.9), 2)
-            action = Drop(Match(src=src, dst=dst), rate=rate, stream=f"drop-{index}")
-        elif kind == "delay":
-            src, dst = rng.sample(range(n), 2)
-            delay = round(rng.uniform(0.02, 0.15), 3)
-            action = Delay(Match(src=src, dst=dst), delay=delay)
-        elif kind == "duplicate":
-            src, dst = rng.sample(range(n), 2)
-            copies = rng.randint(2, 3)
-            action = Duplicate(Match(src=src, dst=dst), copies=copies, spacing=0.004)
-        elif kind == "reorder":
-            src, dst = rng.sample(range(n), 2)
-            delay = round(rng.uniform(0.01, 0.06), 3)
-            rate = round(rng.uniform(0.4, 1.0), 2)
-            action = Reorder(
-                Match(src=src, dst=dst), delay=delay, rate=rate,
-                stream=f"reorder-{index}",
-            )
-        elif kind == "crash":
-            crash_used = True
-            action = CrashReplica(rng.randrange(n))
-        elif kind == "partition":
-            split_used = True
-            size = rng.randint(1, n // 2)
-            isolated = sorted(rng.sample(range(n), size))
-            rest = [p for p in range(n) if p not in isolated]
-            action = Partition(isolated, rest)
-        elif kind == "equivocate":
-            byz_used = True
-            victim = rng.randrange(1, n)
-            action = EquivocatePropose(0, victim)
-        else:  # corrupt-writes
-            byz_used = True
-            action = CorruptWrites(rng.randrange(n))
-        events.append(FaultEvent(at=at, action=action, duration=duration))
-    events.sort(key=lambda e: e.at)
-    return events
-
-
-def _sample_recovery_schedule(seed: int, cfg: ExplorerConfig) -> List[FaultEvent]:
-    """Schedules around amnesiac restarts (a separate stream, so the
-    default profile's seeds stay byte-identical).
-
-    Every schedule contains at least one ``crash_restart``; half of
-    them (per the stream) leave a torn tail on the victim's disk, the
-    rest exercise the plain lost-unsynced-suffix crash.
-    """
-    rng = RandomStreams(seed).stream("fault-schedule/recovery")
-    n = cfg.n
-    count = rng.randint(cfg.min_events, cfg.max_events)
-    crash_used = split_used = False
-    events: List[FaultEvent] = []
-    for index in range(count):
-        kind = "crash_restart" if index == 0 else rng.choice(RECOVERY_KINDS)
-        at = round(rng.uniform(*cfg.fault_window), 3)
-        duration = round(rng.uniform(0.4, 1.5), 3)
-        if kind == "crash_restart" and crash_used:
-            kind = "delay"
-        if kind == "partition" and split_used:
-            kind = "delay"
-
-        if kind == "drop":
-            src, dst = rng.sample(range(n), 2)
-            rate = round(rng.uniform(0.3, 0.9), 2)
-            action = Drop(Match(src=src, dst=dst), rate=rate, stream=f"drop-{index}")
-        elif kind == "delay":
-            src, dst = rng.sample(range(n), 2)
-            delay = round(rng.uniform(0.02, 0.15), 3)
-            action = Delay(Match(src=src, dst=dst), delay=delay)
-        elif kind == "duplicate":
-            src, dst = rng.sample(range(n), 2)
-            copies = rng.randint(2, 3)
-            action = Duplicate(Match(src=src, dst=dst), copies=copies, spacing=0.004)
-        elif kind == "reorder":
-            src, dst = rng.sample(range(n), 2)
-            delay = round(rng.uniform(0.01, 0.06), 3)
-            rate = round(rng.uniform(0.4, 1.0), 2)
-            action = Reorder(
-                Match(src=src, dst=dst), delay=delay, rate=rate,
-                stream=f"reorder-{index}",
-            )
-        elif kind == "crash_restart":
-            crash_used = True
-            action = CrashReplica(
-                rng.randrange(n),
-                amnesia=True,
-                torn_tail=rng.random() < 0.5,
-            )
-        else:  # partition
-            split_used = True
-            size = rng.randint(1, n // 2)
-            isolated = sorted(rng.sample(range(n), size))
-            rest = [p for p in range(n) if p not in isolated]
-            action = Partition(isolated, rest)
-        events.append(FaultEvent(at=at, action=action, duration=duration))
-    events.sort(key=lambda e: e.at)
-    return events
-
-
-def _sample_smartbft_schedule(seed: int, cfg: ExplorerConfig) -> List[FaultEvent]:
-    """Schedules against the SmartBFT backend (a separate stream, so
-    the default profile's seeds stay byte-identical).
-
-    Every schedule opens with a ``censor`` event -- a node silently
-    dropping one frontend's requests, the fault SmartBFT's leader
-    rotation and censorship blacklist are built to survive -- followed
-    by message- and crash-level noise.  ``censor`` and ``crash`` are
-    each sampled at most once, keeping within the f=1 fault budget.
-    """
-    rng = RandomStreams(seed).stream("fault-schedule/smartbft")
-    n = cfg.n
-    count = rng.randint(cfg.min_events, cfg.max_events)
-    crash_used = split_used = censor_used = False
-    events: List[FaultEvent] = []
-    for index in range(count):
-        kind = "censor" if index == 0 else rng.choice(SMARTBFT_KINDS)
-        at = round(rng.uniform(*cfg.fault_window), 3)
-        duration = round(rng.uniform(0.4, 1.5), 3)
-        if kind == "censor" and censor_used:
-            kind = "delay"
-        if kind == "crash" and crash_used:
-            kind = "delay"
-        if kind == "partition" and split_used:
-            kind = "delay"
-
-        if kind == "drop":
-            src, dst = rng.sample(range(n), 2)
-            rate = round(rng.uniform(0.3, 0.9), 2)
-            action = Drop(Match(src=src, dst=dst), rate=rate, stream=f"drop-{index}")
-        elif kind == "delay":
-            src, dst = rng.sample(range(n), 2)
-            delay = round(rng.uniform(0.02, 0.15), 3)
-            action = Delay(Match(src=src, dst=dst), delay=delay)
-        elif kind == "duplicate":
-            src, dst = rng.sample(range(n), 2)
-            copies = rng.randint(2, 3)
-            action = Duplicate(Match(src=src, dst=dst), copies=copies, spacing=0.004)
-        elif kind == "reorder":
-            src, dst = rng.sample(range(n), 2)
-            delay = round(rng.uniform(0.01, 0.06), 3)
-            rate = round(rng.uniform(0.4, 1.0), 2)
-            action = Reorder(
-                Match(src=src, dst=dst), delay=delay, rate=rate,
-                stream=f"reorder-{index}",
-            )
-        elif kind == "crash":
-            crash_used = True
-            action = CrashReplica(rng.randrange(n))
-        elif kind == "partition":
-            split_used = True
-            size = rng.randint(1, n // 2)
-            isolated = sorted(rng.sample(range(n), size))
-            rest = [p for p in range(n) if p not in isolated]
-            action = Partition(isolated, rest)
-        else:  # censor
-            censor_used = True
-            client = FRONTEND_ID_BASE + rng.randrange(cfg.num_frontends)
-            action = CensorClients(rng.randrange(n), {client})
-        events.append(FaultEvent(at=at, action=action, duration=duration))
-    events.sort(key=lambda e: e.at)
-    return events
-
-
-def _sample_overload_schedule(seed: int, cfg: ExplorerConfig) -> List[FaultEvent]:
-    """Schedules that lead with adversarial floods (a separate stream,
-    so the default profile's seeds stay byte-identical).
-
-    Every schedule's first sampled event is a ``flood`` -- an attacker
-    injecting duplicate-heavy submissions into one frontend at hundreds
-    to thousands of envelopes per second -- followed by message- and
-    crash-level noise.  At most one flood per frontend (each gets its
-    own attacker id and pinned envelope-id block, keeping run digests
-    reproducible), at most one crash and one partition per schedule.
-    """
-    rng = RandomStreams(seed).stream("fault-schedule/overload")
-    n = cfg.n
-    count = rng.randint(cfg.min_events, cfg.max_events)
-    crash_used = split_used = False
-    floods_used = 0
-    events: List[FaultEvent] = []
-    for index in range(count):
-        kind = "flood" if index == 0 else rng.choice(OVERLOAD_KINDS)
-        at = round(rng.uniform(*cfg.fault_window), 3)
-        duration = round(rng.uniform(0.4, 1.5), 3)
-        if kind == "flood" and floods_used >= cfg.num_frontends:
-            kind = "delay"
-        if kind == "crash" and crash_used:
-            kind = "delay"
-        if kind == "partition" and split_used:
-            kind = "delay"
-
-        if kind == "flood":
-            target = FRONTEND_ID_BASE + rng.randrange(cfg.num_frontends)
-            rate = round(rng.uniform(400.0, 2000.0), 1)
-            unique_every = rng.randint(1, 6)
-            action = FloodClient(
-                target,
-                rate=rate,
-                channel=cfg.channel,
-                payload_size=cfg.payload_size,
-                submitter=f"mallory{floods_used}",
-                unique_every=unique_every,
-                id_base=FLOOD_ID_BASE + floods_used * 1_000_000,
-                attacker_id=ATTACKER_ID_BASE + floods_used,
-            )
-            floods_used += 1
-        elif kind == "drop":
-            src, dst = rng.sample(range(n), 2)
-            rate = round(rng.uniform(0.3, 0.9), 2)
-            action = Drop(Match(src=src, dst=dst), rate=rate, stream=f"drop-{index}")
-        elif kind == "delay":
-            src, dst = rng.sample(range(n), 2)
-            delay = round(rng.uniform(0.02, 0.15), 3)
-            action = Delay(Match(src=src, dst=dst), delay=delay)
-        elif kind == "duplicate":
-            src, dst = rng.sample(range(n), 2)
-            copies = rng.randint(2, 3)
-            action = Duplicate(Match(src=src, dst=dst), copies=copies, spacing=0.004)
-        elif kind == "reorder":
-            src, dst = rng.sample(range(n), 2)
-            delay = round(rng.uniform(0.01, 0.06), 3)
-            rate = round(rng.uniform(0.4, 1.0), 2)
-            action = Reorder(
-                Match(src=src, dst=dst), delay=delay, rate=rate,
-                stream=f"reorder-{index}",
-            )
-        elif kind == "crash":
-            crash_used = True
-            action = CrashReplica(rng.randrange(n))
-        else:  # partition
-            split_used = True
-            size = rng.randint(1, n // 2)
-            isolated = sorted(rng.sample(range(n), size))
-            rest = [p for p in range(n) if p not in isolated]
-            action = Partition(isolated, rest)
+        group = _BUDGET_GROUP.get(kind, kind)
+        limit = _budget(group, cfg)
+        if limit is not None and used.get(group, 0) >= limit:
+            kind = group = "delay"
+        uses = used.get(group, 0)
+        used[group] = uses + 1
+        action = _BUILDERS[kind](rng, cfg, index, uses)
         events.append(FaultEvent(at=at, action=action, duration=duration))
     events.sort(key=lambda e: e.at)
     return events
@@ -463,11 +362,10 @@ def run_schedule(
     """Run one fault schedule against a fresh deployment and check the
     invariants."""
     cfg = cfg or ExplorerConfig()
-    durable = cfg.profile == "recovery"
-    overload = cfg.profile == "overload"
+    profile = profile_named(cfg.profile)
     service = build_ordering_service(
         OrderingServiceConfig(
-            orderer="smartbft" if cfg.profile == "smartbft" else "bftsmart",
+            orderer=profile.backend,
             f=cfg.f,
             channel=ChannelConfig(
                 cfg.channel,
@@ -478,22 +376,18 @@ def run_schedule(
             physical_cores=None,
             request_timeout=cfg.request_timeout,
             enable_batch_timeout=True,
-            durable_wal=durable,
+            durable_wal=profile.durable_wal,
             seed=seed,
-            admission=(
-                AdmissionConfig(
-                    tenant_rate=cfg.admission_rate,
-                    tenant_burst=cfg.admission_burst,
-                    max_in_flight=cfg.admission_window,
-                )
-                if overload
-                else None
-            ),
+            admission=profile.admission,
         )
     )
     recorder = BlockRecorder(service.network)
-    vote_recorder = VoteRecorder(service.network) if durable else None
-    submissions = SubmissionRecorder(service.frontends) if overload else None
+    vote_recorder = VoteRecorder(service.network) if profile.durable_wal else None
+    submissions = (
+        SubmissionRecorder(service.frontends)
+        if profile.admission is not None
+        else None
+    )
     injector = FaultInjector(service.network, service.replicas, seed=seed)
     Scenario(events, heal_at=cfg.heal_at).install(injector)
 
@@ -516,8 +410,8 @@ def run_schedule(
         )
 
     if submissions is not None:
-        # under overload some honest envelopes are legitimately (and
-        # explicitly) rejected, so "delivered >= offered" is the wrong
+        # under admission control some honest envelopes are legitimately
+        # (and explicitly) rejected, so "delivered >= offered" is the wrong
         # finish line: run until the floods healed and every *admitted*
         # envelope has been committed
         load_end = cfg.load_start + cfg.load_window
@@ -540,7 +434,7 @@ def run_schedule(
         service,
         recorder,
         vote_recorder=vote_recorder,
-        expect_live=not overload,
+        expect_live=submissions is None,
     )
     if submissions is not None:
         violations += check_no_silent_drop(submissions)

@@ -6,6 +6,8 @@ reproducibility -- the same seed must yield an identical fault trace
 and identical final ledger digests.
 """
 
+import hashlib
+
 import pytest
 
 from repro.faults import (
@@ -13,6 +15,7 @@ from repro.faults import (
     Drop,
     ExplorerConfig,
     FaultEvent,
+    FloodClient,
     Match,
     explore,
     run_schedule,
@@ -20,6 +23,8 @@ from repro.faults import (
     sample_schedule,
     shrink_schedule,
 )
+from repro.faults.actions import CensorClients
+from repro.faults.explorer import profile_named
 
 pytestmark = pytest.mark.faults
 
@@ -65,41 +70,6 @@ class TestReproducibility:
         assert run_seed(0).trace_digest != run_seed(3).trace_digest
 
 
-class TestRecoveryProfile:
-    """The crash-recovery schedule space (``--profile recovery``)."""
-
-    def test_recovery_seeds_zero_violations(self):
-        cfg = ExplorerConfig(profile="recovery")
-        report = explore(seeds=10, cfg=cfg)
-        failing = {r.seed: [str(v) for v in r.violations] for r in report.failures}
-        assert report.ok, f"seeds with violations: {failing}"
-        for result in report.results:
-            assert result.delivered >= result.submitted
-
-    def test_every_schedule_leads_with_amnesiac_restart(self):
-        cfg = ExplorerConfig(profile="recovery")
-        for seed in range(10):
-            events = sample_schedule(seed, cfg)
-            crash = next(
-                e.action for e in events if isinstance(e.action, CrashReplica)
-            )
-            assert crash.amnesia
-
-    def test_recovery_profile_is_reproducible(self):
-        cfg = ExplorerConfig(profile="recovery")
-        first = run_seed(7, cfg)
-        second = run_seed(7, cfg)
-        assert first.trace == second.trace
-        assert first.ledger_digest == second.ledger_digest
-
-    def test_default_profile_unperturbed(self):
-        """Adding the recovery stream must not change the default
-        profile's schedules (historical seeds stay reproducible)."""
-        default = [e.describe() for e in sample_schedule(3)]
-        _ = sample_schedule(3, ExplorerConfig(profile="recovery"))
-        assert [e.describe() for e in sample_schedule(3)] == default
-
-
 class TestShrinking:
     def test_failing_schedule_minimized(self):
         """One fatal event (total inbound drop that outlives the run's
@@ -132,38 +102,77 @@ class TestShrinking:
         assert [e.describe() for e in minimal] == [e.describe() for e in events]
 
 
-class TestOverloadProfile:
-    """The adversarial-overload schedule space (``--profile overload``):
-    client floods against the admission-controlled service, judged by
-    the no-silent-drop backpressure invariant instead of count-based
-    liveness (explicit rejections legitimately shrink commits)."""
+#: What each non-default profile's leading event must look like.
+LEAD_CHECKS = {
+    "recovery": lambda a: isinstance(a, CrashReplica) and a.amnesia,
+    "smartbft": lambda a: isinstance(a, CensorClients),
+    "overload": lambda a: isinstance(a, FloodClient),
+}
 
-    def test_overload_seeds_zero_violations(self):
-        cfg = ExplorerConfig(profile="overload")
-        report = explore(seeds=10, cfg=cfg)
+
+@pytest.mark.parametrize("profile", sorted(LEAD_CHECKS))
+class TestProfiles:
+    """The non-default schedule spaces (``--profile NAME``): amnesiac
+    restarts against durable WALs, leader censorship against SmartBFT,
+    and client floods against the admission-controlled service (judged
+    by the no-silent-drop invariant instead of count-based liveness)."""
+
+    def test_seeds_zero_violations(self, profile):
+        report = explore(seeds=10, cfg=ExplorerConfig(profile=profile))
         failing = {r.seed: [str(v) for v in r.violations] for r in report.failures}
         assert report.ok, f"seeds with violations: {failing}"
+        if profile_named(profile).admission is None:
+            for result in report.results:
+                assert result.delivered >= result.submitted
 
-    def test_every_schedule_leads_with_flood(self):
-        from repro.faults import FloodClient
-
-        cfg = ExplorerConfig(profile="overload")
+    def test_every_schedule_has_lead(self, profile):
+        cfg = ExplorerConfig(profile=profile)
         for seed in range(10):
             events = sample_schedule(seed, cfg)
             assert any(
-                isinstance(e.action, FloodClient) for e in events
-            ), f"seed {seed} has no flood"
+                LEAD_CHECKS[profile](e.action) for e in events
+            ), f"seed {seed} lacks the {profile_named(profile).lead} lead"
 
-    def test_overload_profile_is_reproducible(self):
-        cfg = ExplorerConfig(profile="overload")
+    def test_profile_is_reproducible(self, profile):
+        cfg = ExplorerConfig(profile=profile)
         first = run_seed(7, cfg)
         second = run_seed(7, cfg)
         assert first.trace == second.trace
         assert first.ledger_digest == second.ledger_digest
 
-    def test_default_profile_unperturbed(self):
-        """The overload stream must not change the default profile's
-        schedules (historical seeds stay reproducible)."""
+    def test_default_profile_unperturbed(self, profile):
+        """Sampling another profile's stream must not change the default
+        profile's schedules."""
         default = [e.describe() for e in sample_schedule(3)]
-        _ = sample_schedule(3, ExplorerConfig(profile="overload"))
+        _ = sample_schedule(3, ExplorerConfig(profile=profile))
         assert [e.describe() for e in sample_schedule(3)] == default
+
+
+#: sha256 over ``(seed, at, duration, describe())`` of seeds 0-49, per
+#: (profile, f), computed before the samplers became one table-driven
+#: sampler.  A change here means historical seeds no longer replay.
+PINNED_SCHEDULES = {
+    ("default", 1): "5c20a6a4dbcc448f85f6a373da1511f6282127552268890051dcac38e19c554d",
+    ("default", 2): "6217ab2509aebcdef3db14d5669cd59cadca345f7c07c4ccd9a9589911c796d1",
+    ("recovery", 1): "0c01bdae41735b0756637ca149339cb56159d006a9ded96c2f6ef67048707bc7",
+    ("recovery", 2): "80a8eb7637c90510f83c46295da7f36d8ff777ca8927a27ee757040b63db0217",
+    ("smartbft", 1): "183997feabac943e38b059050ee9c0334339ff7b1957c50bc66f57c3b18fb5d2",
+    ("smartbft", 2): "f25929a0be1c80c50e96df4ad8cafa4c270763616e76f383ac0b86fecc06df75",
+    ("overload", 1): "5bf268470521b474ab7dc91616108358e8becb661ea49f5065ff5794737e1eff",
+    ("overload", 2): "0b638f1359cdafef957dc8b563e5ab51d1d521e25ec2a928f667fc9b757d11ae",
+}
+
+
+class TestScheduleSpace:
+    @pytest.mark.parametrize("profile,f", sorted(PINNED_SCHEDULES))
+    def test_schedules_pinned(self, profile, f):
+        cfg = ExplorerConfig(f=f, profile=profile)
+        digest = hashlib.sha256()
+        for seed in range(50):
+            for e in sample_schedule(seed, cfg):
+                digest.update(repr((seed, e.at, e.duration, e.describe())).encode())
+        assert digest.hexdigest() == PINNED_SCHEDULES[(profile, f)]
+
+    def test_unknown_profile_rejected(self):
+        with pytest.raises(ValueError, match="smartBFT.*default, recovery"):
+            ExplorerConfig(profile="smartBFT")
