@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
 
-from repro.fabric.envelope import ReadSet, WriteSet
+from repro.fabric.envelope import ReadSet, Version, WriteSet
 from repro.fabric.statedb import VersionedKVStore
 
 
@@ -28,36 +28,43 @@ class ChaincodeError(Exception):
 
 
 class ChaincodeStub:
-    """The API surface chaincode uses during simulation."""
+    """The API surface chaincode uses during simulation.
+
+    The stub records into its own dicts; ``read_set``/``write_set`` are
+    read-only views of them (no copy), which the endorser hands on once
+    the chaincode returns and the stub is dropped.
+    """
 
     def __init__(self, state: VersionedKVStore):
         self._state = state
-        self.read_set = ReadSet()
-        self.write_set = WriteSet()
+        self._reads: Dict[str, Optional[Version]] = {}
+        self._writes: Dict[str, Optional[Any]] = {}
+        self.read_set = ReadSet(self._reads)
+        self.write_set = WriteSet(self._writes)
 
     def get_state(self, key: str) -> Optional[Any]:
         """Read a key, recording its version (read-your-own-writes)."""
-        if key in self.write_set.writes:
-            return self.write_set.writes[key]
+        if key in self._writes:
+            return self._writes[key]
         entry = self._state.get(key)
-        self.read_set.reads.setdefault(key, entry.version if entry else None)
+        self._reads.setdefault(key, entry.version if entry else None)
         return entry.value if entry else None
 
     def put_state(self, key: str, value: Any) -> None:
         if value is None:
             raise ChaincodeError("use del_state to delete keys")
-        self.write_set.writes[key] = value
+        self._writes[key] = value
 
     def del_state(self, key: str) -> None:
-        self.write_set.writes[key] = None
+        self._writes[key] = None
 
     def get_range(self, start: str, end: str) -> Dict[str, Any]:
         """Range read; records every returned key's version."""
         result: Dict[str, Any] = {}
         for key, entry in self._state.range(start, end):
-            self.read_set.reads.setdefault(key, entry.version)
+            self._reads.setdefault(key, entry.version)
             result[key] = entry.value
-        for key, value in sorted(self.write_set.writes.items()):
+        for key, value in sorted(self._writes.items()):
             if start <= key < end:
                 if value is None:
                     result.pop(key, None)

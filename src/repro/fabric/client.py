@@ -44,6 +44,8 @@ class _PendingTransaction:
     endorsers: List[str]
     future: Future
     responses: Dict[str, ProposalResponse] = field(default_factory=dict)
+    #: each verified response's signed payload, keyed like ``responses``
+    payloads: Dict[str, bytes] = field(default_factory=dict)
     envelope: Optional[Envelope] = None
     submitted: bool = False
     is_query: bool = False
@@ -158,9 +160,11 @@ class FabricClient:
         pending = self._pending.get(response.proposal_digest)
         if pending is None:
             return
-        if not self._verify_response(response):
+        payload = self._verify_response(response)
+        if payload is None:
             return
         pending.responses[response.endorser] = response
+        pending.payloads[response.endorser] = payload
         if pending.is_query:
             # query mode: first verified response resolves the future
             if not pending.future.done:
@@ -172,11 +176,15 @@ class FabricClient:
             return
         self._try_assemble(pending)
 
-    def _verify_response(self, response: ProposalResponse) -> bool:
+    def _verify_response(self, response: ProposalResponse) -> Optional[bytes]:
+        """The response's signed payload if its signature verifies."""
         if response.endorser not in self.registry:
-            return False
+            return None
         verifier = self.registry.verifier_of(response.endorser)
-        return verifier.verify(response.signed_payload(), response.signature)
+        payload = response.signed_payload()
+        if not verifier.verify(payload, response.signature):
+            return None
+        return payload
 
     def _try_assemble(self, pending: _PendingTransaction) -> None:
         """Step 3: match responses, check the policy, build the envelope."""
@@ -191,11 +199,11 @@ class FabricClient:
                 pending.future.fail(EndorsementError(str(failure.result)))
                 self._pending.pop(pending.proposal.digest(), None)
             return
-        # group by identical (read set, write set, result)
+        # group by identical (read set, write set, result): the signed
+        # payload verified on arrival covers exactly those
         groups: Dict[bytes, List[ProposalResponse]] = {}
         for response in successes:
-            key = response.signed_payload()
-            groups.setdefault(key, []).append(response)
+            groups.setdefault(pending.payloads[response.endorser], []).append(response)
         for _, matching in sorted(groups.items()):
             orgs = {r.org for r in matching}
             if pending.policy.satisfied_by(orgs):

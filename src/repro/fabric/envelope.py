@@ -20,7 +20,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from types import MappingProxyType
+from typing import Any, List, Mapping, Optional, Tuple, Union
 
 from repro.crypto.hashing import sha256
 
@@ -124,7 +125,7 @@ def check_payload_size(
     return length
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChaincodeProposal:
     """A client's signed request to invoke a chaincode function."""
 
@@ -135,48 +136,84 @@ class ChaincodeProposal:
     client: str
     nonce: int
     timestamp: float = 0.0
+    #: digest cache -- the record is frozen, and the client, every
+    #: endorser and the committing peers all hash the same proposal
+    _digest: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     def digest(self) -> bytes:
-        return sha256(
-            "proposal",
-            self.channel_id,
-            self.chaincode_id,
-            self.function,
-            [repr(a) for a in self.args],
-            self.client,
-            self.nonce,
-        )
+        cached = self._digest
+        if cached is None:
+            cached = sha256(
+                "proposal",
+                self.channel_id,
+                self.chaincode_id,
+                self.function,
+                [repr(a) for a in self.args],
+                self.client,
+                self.nonce,
+            )
+            object.__setattr__(self, "_digest", cached)
+        return cached
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class ReadSet:
-    """Versioned keys read during simulation (MVCC check input)."""
+    """Versioned keys read during simulation (MVCC check input).
 
-    reads: Dict[str, Optional[Version]] = field(default_factory=dict)
+    ``reads`` is a read-only view of the mapping the record was built
+    from (wrapped, not copied): item assignment raises ``TypeError`` and
+    reassigning the field raises ``FrozenInstanceError``.  Only the
+    builder holding the underlying dict -- the
+    :class:`~repro.fabric.chaincode.ChaincodeStub`, until the endorser
+    returns -- may still add to it, and nothing hashes the set before
+    then, so the cached digest cannot go stale.
+    """
+
+    reads: Mapping[str, Optional[Version]] = field(default_factory=dict)
+    _digest: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "reads", MappingProxyType(self.reads))
 
     def digest(self) -> bytes:
-        return sha256(
-            "readset", {k: list(v) if v else None for k, v in self.reads.items()}
-        )
+        cached = self._digest
+        if cached is None:
+            cached = sha256(
+                "readset", {k: list(v) if v else None for k, v in self.reads.items()}
+            )
+            object.__setattr__(self, "_digest", cached)
+        return cached
 
     def __len__(self) -> int:
         return len(self.reads)
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class WriteSet:
-    """Key updates produced during simulation (None value = delete)."""
+    """Key updates produced during simulation (None value = delete).
 
-    writes: Dict[str, Optional[Any]] = field(default_factory=dict)
+    Immutable the same way as :class:`ReadSet`: ``writes`` is a
+    read-only view of the builder's dict and the digest is cached.
+    """
+
+    writes: Mapping[str, Optional[Any]] = field(default_factory=dict)
+    _digest: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "writes", MappingProxyType(self.writes))
 
     def digest(self) -> bytes:
-        return sha256("writeset", {k: repr(v) for k, v in self.writes.items()})
+        cached = self._digest
+        if cached is None:
+            cached = sha256("writeset", {k: repr(v) for k, v in self.writes.items()})
+            object.__setattr__(self, "_digest", cached)
+        return cached
 
     def __len__(self) -> int:
         return len(self.writes)
 
 
-@dataclass
+@dataclass(slots=True)
 class ProposalResponse:
     """An endorsing peer's simulation result + signature."""
 
@@ -190,6 +227,8 @@ class ProposalResponse:
     signature: bytes = b""
 
     def signed_payload(self) -> bytes:
+        # uncached on purpose, like Transaction.digest: the record stays
+        # mutable, and over cached leaf digests this is one short hash
         return sha256(
             "response",
             self.proposal_digest,
@@ -200,7 +239,7 @@ class ProposalResponse:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class Endorsement:
     """The (endorser, signature) pair attached to a transaction."""
 
@@ -209,9 +248,15 @@ class Endorsement:
     signature: bytes
 
 
-@dataclass
+@dataclass(slots=True)
 class Transaction:
-    """A fully-assembled transaction awaiting ordering + validation."""
+    """A fully-assembled transaction awaiting ordering + validation.
+
+    Deliberately mutable and uncached: :meth:`digest` and
+    :meth:`response_payload` hash only the cached digests of the
+    proposal and rw-sets (plus the result or ``tx_id``), so swapping a
+    field is re-hashed on the next call, never read stale.
+    """
 
     proposal: ChaincodeProposal
     read_set: ReadSet

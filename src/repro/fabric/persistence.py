@@ -47,7 +47,8 @@ def _transaction_to_dict(tx: Transaction) -> Dict[str, Any]:
             key: (list(version) if version is not None else None)
             for key, version in tx.read_set.reads.items()
         },
-        "writes": tx.write_set.writes,
+        # a copy: the live mapping is a read-only view, not JSON-serialisable
+        "writes": dict(tx.write_set.writes),
         "result": tx.result,
         "endorsements": [
             {"endorser": e.endorser, "org": e.org, "signature": e.signature.hex()}

@@ -6,6 +6,8 @@ from repro.fabric.audit import audit_ledger
 from repro.fabric.persistence import (
     block_from_dict,
     block_to_dict,
+    envelope_from_dict,
+    envelope_to_dict,
     load_ledger,
     save_ledger,
 )
@@ -143,3 +145,22 @@ class TestPersistence:
         assert [e.digest() for e in clone.envelopes] == [
             e.digest() for e in block.envelopes
         ]
+
+    def test_hashed_transaction_roundtrips_through_json(self):
+        """The rw-sets of a hashed transaction are read-only views; the
+        serialiser copies them into plain JSON and the reload hashes to
+        the same digests."""
+        import json
+
+        from tests.test_fabric_hash_once import fixed_structures
+
+        *_, envelope, _raw = fixed_structures()
+        digests = (envelope.digest(), envelope.transaction.response_payload())
+        text = json.dumps(envelope_to_dict(envelope))
+        clone = envelope_from_dict(json.loads(text))
+        assert (clone.digest(), clone.transaction.response_payload()) == digests
+        assert dict(clone.transaction.write_set.writes) == dict(
+            envelope.transaction.write_set.writes
+        )
+        with pytest.raises(TypeError):
+            clone.transaction.write_set.writes["acct/a1"] = 0

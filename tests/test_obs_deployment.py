@@ -72,3 +72,39 @@ def test_cft_orderer_records_into_the_run_registry(backend):
     assert committed == ENVELOPES
     assert metrics.meter("ordering.node.orderer0.envelopes").total == committed
     assert metrics.histogram("ordering.node.orderer0.latency").count == committed
+
+
+def test_leader_crash_records_regency_change():
+    """A bftsmart leader crash under the hub fires the synchronization
+    hooks: STOPs sent, the new regency installed and synced, and one
+    closed ``sync r1`` span per surviving replica."""
+    obs = Observability()
+    config = OrderingServiceConfig(
+        channel=ChannelConfig("ch0", max_message_count=BLOCK_SIZE, batch_timeout=0.2),
+        num_frontends=1,
+        physical_cores=None,
+        request_timeout=0.4,
+        enable_batch_timeout=True,
+    )
+    service = build_ordering_service(config, observability=obs)
+    for _ in range(BLOCK_SIZE):
+        service.submit(Envelope.raw("ch0", 128))
+    service.run(1.0)
+    leader = service.replicas[0].leader
+    service.crash_node(leader)
+    for _ in range(ENVELOPES - BLOCK_SIZE):
+        service.submit(Envelope.raw("ch0", 128))
+    service.run(10.0)
+    assert service.total_delivered() == ENVELOPES
+
+    metrics = service.metrics
+    survivors = [r.replica_id for r in service.replicas if r.replica_id != leader]
+    for replica in survivors:
+        prefix = f"smart.replica.{replica}"
+        assert metrics.counter(f"{prefix}.stops_sent").value >= 1
+        assert metrics.counter(f"{prefix}.regency_installs").value >= 1
+        assert metrics.counter(f"{prefix}.syncs_completed").value >= 1
+    assert f"smart.replica.{leader}.syncs_completed" not in metrics
+    spans = [s for s in obs.tracer.spans if s.category == "sync"]
+    assert sorted(s.track for s in spans) == [f"replica.{r}" for r in survivors]
+    assert all(s.name == "sync r1" and not s.open for s in spans)

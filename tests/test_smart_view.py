@@ -122,6 +122,17 @@ class TestView:
         survivors = {1, 2, 3, 4}  # replica 0 (Vmax) failed
         assert view.has_quorum(survivors)
 
+    def test_quorum_threshold_values(self):
+        """docs/PROTOCOLS.md's rule: uniform weights give the classic
+        ceil((n+f+1)/2) quorum; WHEAT's binary weights give the paper's
+        Qv = 2f*Vmax + 1."""
+        view = View(0, tuple(range(7)), 2)
+        assert view.quorum_threshold == pytest.approx((7 + 2 * 1.0) / 2)
+        assert classic_quorum(7, 2) == 5 > view.quorum_threshold > 4
+        wheat = wheat_view(0, tuple(range(5)), f=1, delta=1, vmax_holders=(0, 1))
+        assert wheat.quorum_threshold == pytest.approx((7.0 + 1 * 2.0) / 2)
+        assert 2 * wheat.f * wheat.vmax + 1 == 5 > wheat.quorum_threshold
+
     def test_leader_rotation(self):
         view = View(0, (0, 1, 2, 3), 1)
         assert [view.leader_of(r) for r in range(5)] == [0, 1, 2, 3, 0]
