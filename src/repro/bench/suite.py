@@ -38,13 +38,10 @@ from repro.bench.model import (
     SignatureThroughputModel,
     eq1_bound,
 )
-from repro.crypto.keys import KeyRegistry
-from repro.crypto.signatures import SimulatedECDSA
 from repro.fabric.channel import ChannelConfig
 from repro.fabric.envelope import Envelope
-from repro.fabric.orderers import KafkaCluster, KafkaOrderer, SoloOrderer
 from repro.ordering import OrderingServiceConfig, build_ordering_service
-from repro.sim import ConstantLatency, Network, RandomStreams, Simulator
+from repro.sim import ConstantLatency, RandomStreams
 from repro.sim.storage import StorageFaults
 
 
@@ -725,38 +722,10 @@ def ablation_batching(ctx: BenchContext) -> Dict[str, float]:
 # ----------------------------------------------------------------------
 # Baselines: solo and Kafka-CFT orderers vs the BFT service
 # ----------------------------------------------------------------------
-def _run_solo(envelopes: int, envelope_size: int, block_size: int):
-    sim = Simulator()
-    network = Network(sim, ConstantLatency(0.0001))
-    registry = KeyRegistry(scheme=SimulatedECDSA())
-    channel = ChannelConfig("ch0", max_message_count=block_size, batch_timeout=0.5)
-    orderer = SoloOrderer(sim, network, "solo", registry.enroll("solo"), channel)
-    network.register("solo", orderer)
-    for _ in range(envelopes):
-        orderer.submit(Envelope.raw("ch0", envelope_size))
-    sim.run(until=5.0)
-    latency = orderer.metrics.histogram("ordering.node.solo.latency")
-    return latency.median, orderer.blocks_created
-
-
-def _run_kafka(envelopes: int, envelope_size: int, block_size: int):
-    sim = Simulator()
-    network = Network(sim, ConstantLatency(0.0001))
-    registry = KeyRegistry(scheme=SimulatedECDSA())
-    channel = ChannelConfig("ch0", max_message_count=block_size, batch_timeout=0.5)
-    cluster = KafkaCluster(sim, network, num_brokers=3)
-    orderer = KafkaOrderer(
-        sim, network, "korderer0", registry.enroll("korderer0"), cluster, channel
-    )
-    for _ in range(envelopes):
-        orderer.submit(Envelope.raw("ch0", envelope_size))
-    sim.run(until=5.0)
-    latency = orderer.metrics.histogram("ordering.node.korderer0.latency")
-    return latency.median, orderer.blocks_created
-
-
-def _run_bft(envelopes: int, envelope_size: int, block_size: int):
+def _run_baseline(orderer: str, envelopes: int, envelope_size: int, block_size: int):
     config = OrderingServiceConfig(
+        # the matrix keeps its historic "bft" label for the paper's service
+        orderer="bftsmart" if orderer == "bft" else orderer,
         f=1,
         channel=ChannelConfig(
             "ch0", max_message_count=block_size, batch_timeout=0.5
@@ -768,13 +737,7 @@ def _run_bft(envelopes: int, envelope_size: int, block_size: int):
     for _ in range(envelopes):
         service.submit(Envelope.raw("ch0", envelope_size))
     service.run(5.0)
-    recorder = service.metrics.histogram(
-        f"ordering.frontend.{service.frontends[0].name}.latency"
-    )
-    return recorder.median, service.nodes[0].blocks_created
-
-
-_BASELINE_RUNNERS = {"solo": _run_solo, "kafka": _run_kafka, "bft": _run_bft}
+    return service.delivery_latency().median, service.nodes[0].blocks_created
 
 
 def baseline_orderer_comparison(suite: SuiteResult) -> None:
@@ -916,9 +879,8 @@ def recovery_time(ctx: BenchContext) -> Dict[str, float]:
     checks=(baseline_orderer_comparison,),
 )
 def baseline_orderers(ctx: BenchContext) -> Dict[str, float]:
-    runner = _BASELINE_RUNNERS[ctx["orderer"]]
-    median, blocks = runner(
-        ctx["envelopes"], ctx["envelope_size"], ctx["block_size"]
+    median, blocks = _run_baseline(
+        ctx["orderer"], ctx["envelopes"], ctx["envelope_size"], ctx["block_size"]
     )
     return {"median_latency_s": median, "blocks": float(blocks)}
 

@@ -76,7 +76,6 @@ class FabricClient:
         self._nonce = itertools.count()
         self._pending: Dict[bytes, _PendingTransaction] = {}
         self._awaiting_commit: Dict[int, _PendingTransaction] = {}
-        self.commits_seen: List[CommitEvent] = []
         network.register(identity.name, self)
 
     # ------------------------------------------------------------------
@@ -259,7 +258,6 @@ class FabricClient:
         return 256 + rwset + endorsements + args
 
     def _on_commit(self, event: CommitEvent) -> None:
-        self.commits_seen.append(event)
         pending = self._awaiting_commit.pop(event.tx_id, None)
         if pending is None:
             return

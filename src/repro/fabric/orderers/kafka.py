@@ -30,7 +30,7 @@ from repro.crypto.keys import Identity
 from repro.fabric.api import BlockDelivery, SubmitEnvelope
 from repro.fabric.block import GENESIS_PREVIOUS_HASH, Block, BlockHeader, compute_data_hash
 from repro.fabric.channel import ChannelConfig
-from repro.fabric.envelope import Envelope
+from repro.fabric.envelope import Envelope, OversizedPayloadError, check_payload_size
 from repro.obs.registry import MetricsRegistry
 from repro.ordering.blockcutter import BlockCutter
 from repro.ordering.node import TimeToCut
@@ -276,12 +276,19 @@ class KafkaOrderer:
     # ------------------------------------------------------------------
     def deliver(self, src, message) -> None:
         if isinstance(message, SubmitEnvelope):
-            self.submit(message.envelope)
+            try:
+                self.submit(message.envelope)
+            except OversizedPayloadError:
+                # dropped and counted, never raised into the event loop
+                self.metrics.counter(f"ordering.node.{self.name}.rejected.oversized").increment()
         elif isinstance(message, Consume):
             self._on_consume(message)
 
     def submit(self, envelope: Envelope) -> None:
-        """Produce an envelope into the Kafka partition."""
+        """Produce an envelope into the Kafka partition; one over the
+        channel's AbsoluteMaxBytes raises
+        :class:`~repro.fabric.envelope.OversizedPayloadError`."""
+        check_payload_size(envelope.payload_ref(), self.channel.absolute_max_bytes)
         if envelope.create_time is None:
             envelope.create_time = self.sim.now
         produce = Produce(envelope, envelope.payload_size)

@@ -14,7 +14,7 @@ from repro.crypto.keys import Identity
 from repro.fabric.api import BlockDelivery, SubmitEnvelope
 from repro.fabric.block import GENESIS_PREVIOUS_HASH, Block, BlockHeader, compute_data_hash
 from repro.fabric.channel import ChannelConfig
-from repro.fabric.envelope import Envelope
+from repro.fabric.envelope import Envelope, OversizedPayloadError, check_payload_size
 from repro.obs.registry import MetricsRegistry
 from repro.ordering.blockcutter import BlockCutter
 from repro.sim.core import Simulator
@@ -66,11 +66,18 @@ class SoloOrderer:
         if self.crashed:
             return
         if isinstance(message, SubmitEnvelope):
-            self.submit(message.envelope)
+            try:
+                self.submit(message.envelope)
+            except OversizedPayloadError:
+                # dropped and counted, never raised into the event loop
+                self.metrics.counter(f"ordering.node.{self.name}.rejected.oversized").increment()
 
     def submit(self, envelope: Envelope) -> None:
+        """Order an envelope; one over the channel's AbsoluteMaxBytes
+        raises :class:`~repro.fabric.envelope.OversizedPayloadError`."""
         if self.crashed:
             return
+        check_payload_size(envelope.payload_ref(), self.channel.absolute_max_bytes)
         if envelope.create_time is None:
             envelope.create_time = self.sim.now
         batches = self.cutter.ordered(envelope)

@@ -52,6 +52,11 @@ class Rejected:
         return f"rejected({self.reason}, retry_after={self.retry_after:.3f}s)"
 
 
+#: the verdict for an envelope over AbsoluteMaxBytes (never admissible,
+#: so resubmitting it is futile)
+OVERSIZED = Rejected(REASON_OVERSIZED, retry_after=0.0)
+
+
 @dataclass(frozen=True)
 class AdmissionConfig:
     """Budget knobs for one frontend's admission controller."""

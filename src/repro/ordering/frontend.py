@@ -26,9 +26,10 @@ from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple, Union
 from repro.crypto.keys import KeyRegistry
 from repro.fabric.api import BlockDelivery, SubmitEnvelope
 from repro.fabric.block import Block
-from repro.fabric.envelope import Envelope, check_payload_size, payload_length
+from repro.fabric.envelope import Envelope, OversizedPayloadError, check_payload_size
+from repro.fabric.envelope import payload_length
 from repro.obs.registry import MetricsRegistry
-from repro.ordering.admission import AdmissionController, Rejected
+from repro.ordering.admission import OVERSIZED, AdmissionController, Rejected
 from repro.sim.core import Simulator
 from repro.sim.network import Network
 from repro.smart.proxy import ServiceProxy
@@ -290,7 +291,12 @@ class Frontend(FrontendCore):
 
     def deliver(self, src, message) -> None:
         if isinstance(message, SubmitEnvelope):
-            self.submit(message.envelope)
+            try:
+                self.submit(message.envelope)
+            except OversizedPayloadError:
+                # refused explicitly (the obs hub counts it), never
+                # raised into the event loop
+                self._reject(message.envelope, OVERSIZED)
         elif isinstance(message, BlockDelivery):
             self._on_block_copy(message.source, message.block)
         else:

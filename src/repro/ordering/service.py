@@ -1,22 +1,29 @@
-"""Deployment builder: assemble a complete BFT ordering service.
+"""Deployment builder: assemble a complete ordering service.
 
 Wires together everything from Figure 4: a cluster of ``3f+1+delta``
 ordering nodes (BFT-SMaRt replica + :class:`BFTOrderingNode` app +
 per-machine CPU with a signing thread pool) and a set of frontends,
-over a simulated LAN or WAN.  Used by integration tests, the examples
-and the benchmark harness.
+over a simulated LAN or WAN.  The same builder stands up the SmartBFT
+backend and the crash-fault baselines (solo, Kafka), so every caller
+drives all four through one surface.  Used by integration tests, the
+examples and the benchmark harness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Type, TypeVar
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Type, TypeVar, Union
 
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import SimulatedECDSA
+from repro.fabric.blockpolicy import (
+    AcceptAllBlocks,
+    BlockValidityPolicy,
+    SignatureCountPolicy,
+)
 from repro.fabric.channel import ChannelConfig
 from repro.fabric.envelope import Envelope
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import Histogram, MetricsRegistry
 from repro.ordering.admission import AdmissionConfig, AdmissionController
 from repro.ordering.frontend import Frontend, FrontendCore
 from repro.ordering.node import BFTOrderingNode, TimeToCut
@@ -29,7 +36,7 @@ from repro.sim.storage import DEFAULT_FSYNC_LATENCY, SimDisk
 from repro.smart.messages import ClientRequest
 from repro.smart.proxy import ServiceProxy
 from repro.smart.replica import ReplicaConfig, ServiceReplica, default_replier
-from repro.smart.view import View, bft_group_size, binary_weights
+from repro.smart.view import View, bft_group_size, binary_weights, one_correct_size
 from repro.smart.wal import ConsensusWAL
 
 #: network-id base for frontends (BFT-SMaRt client ids)
@@ -44,8 +51,10 @@ ADMIN_ID_BASE = 3000
 class OrderingServiceConfig:
     """Everything needed to stand up one deployment."""
 
-    #: which BFT ordering backend to build: "bftsmart" (the paper's
-    #: service) or "smartbft" (the successor design, repro.smart2)
+    #: which ordering backend to build: "bftsmart" (the paper's
+    #: service), "smartbft" (the successor design, repro.smart2), or
+    #: the crash-fault baselines "solo" and "kafka" (n and the BFT-only
+    #: fields do not apply to those)
     orderer: str = "bftsmart"
     f: int = 1
     delta: int = 0
@@ -141,7 +150,32 @@ def channel_map(config: OrderingServiceConfig) -> Dict[str, ChannelConfig]:
 
 
 @dataclass
-class BFTService:
+class OrderingDeployment:
+    """What every backend's service shares: its wiring and the surface
+    harnesses drive without naming the backend -- ``orderer_names``,
+    ``attach_peer(peer)``, ``block_policy()``, ``dissemination_bytes()``
+    (delivering endpoints to their delivery clients only) and
+    ``delivery_latency()`` (where blocks are handed to peers)."""
+
+    sim: Simulator
+    network: Network
+    config: OrderingServiceConfig
+    registry: KeyRegistry
+    nodes: List[Any]
+    #: the deployment's one metrics registry (the hub's, if attached)
+    metrics: MetricsRegistry
+
+    @property
+    def orderer_names(self) -> Set[str]:
+        """Identity names of the nodes that sign blocks."""
+        return {node.name for node in self.nodes}
+
+    def run(self, duration: float) -> None:
+        self.sim.run(until=self.sim.now + duration)
+
+
+@dataclass
+class BFTService(OrderingDeployment):
     """A fully wired BFT ordering deployment, whichever the backend.
 
     The probe surface below is what benchmarks, the fault explorer and
@@ -149,22 +183,33 @@ class BFTService:
     ``nodes`` name the same objects (a node *is* its own replica).
     """
 
-    sim: Simulator
-    network: Network
-    config: OrderingServiceConfig
-    registry: KeyRegistry
     view: View
     replicas: List[Any]
-    nodes: List[Any]
     frontends: List[FrontendCore]
-    #: the deployment's one metrics registry (the hub's, if attached)
-    metrics: MetricsRegistry
     cpus: List[Optional[CPU]]
     #: optional repro.obs.Observability hub wired through every component
     observability: Optional[Any] = None
 
     def submit(self, envelope: Envelope, frontend_index: int = 0) -> None:
         self.frontends[frontend_index].submit(envelope)
+
+    def attach_peer(self, peer: Any) -> None:
+        self.network.register(peer.name, peer)
+        self.frontends[0].attach_peer(peer.name)
+
+    def dissemination_bytes(self) -> int:
+        """Bytes from the ordering nodes to the frontends."""
+        by_src = self.network.stats.bytes_by_src
+        return int(
+            sum(
+                by_src.get(i, {}).get(frontend.name, 0)
+                for i in range(len(self.nodes))
+                for frontend in self.frontends
+            )
+        )
+
+    def delivery_latency(self) -> Histogram:
+        return self.metrics.histogram(f"ordering.frontend.{self.frontends[0].name}.latency")
 
     def crash_node(self, index: int, amnesia: bool = False) -> None:
         self.replicas[index].crash(amnesia=amnesia)
@@ -201,18 +246,13 @@ class BFTService:
         meter = self.metrics.meter(f"ordering.frontend.{FRONTEND_ID_BASE}.envelopes")
         return int(meter.total)
 
-    def run(self, duration: float) -> None:
-        self.sim.run(until=self.sim.now + duration)
-
 
 ServiceT = TypeVar("ServiceT", bound=BFTService)
 
 
-class ServiceScaffold:
-    """What both BFT builders stand up around their own node and
-    frontend types: network, metrics registry, key registry, view,
-    sites, channels, per-node CPUs (no side effects, so built up front)
-    and the frontends' ingress gate."""
+class DeploymentScaffold:
+    """What every builder stands up first: network, metrics registry
+    and key registry."""
 
     def __init__(
         self,
@@ -238,6 +278,15 @@ class ServiceScaffold:
             scheme.sign_cost = config.sign_cost
         self.registry = KeyRegistry(scheme=scheme, rng=streams.stream("keys"))
 
+
+class ServiceScaffold(DeploymentScaffold):
+    """What both BFT builders add around their own node and frontend
+    types: view, sites, channels, per-node CPUs (no side effects, so
+    built up front) and the frontends' ingress gate."""
+
+    def __init__(self, *args: Any):
+        super().__init__(*args)
+        config = self.config
         n = config.n
         processes = tuple(range(n))
         weights = binary_weights(processes, config.f, config.delta, config.vmax_holders)
@@ -260,7 +309,7 @@ class ServiceScaffold:
                 f"got {len(self.frontend_sites)}"
             )
         self.channels = channel_map(config)
-        self.cpus = [make_node_cpu(sim, config) for _ in range(n)]
+        self.cpus = [make_node_cpu(self.sim, config) for _ in range(n)]
 
     def frontend_gate(self) -> Dict[str, Any]:
         """Per-frontend AbsoluteMaxBytes ceilings and admission control."""
@@ -320,6 +369,13 @@ class ServiceScaffold:
 class OrderingService(BFTService):
     """The paper's deployment: BFT-SMaRt replicas and copy-matching
     frontends, reconfigurable at runtime."""
+
+    def block_policy(self) -> BlockValidityPolicy:
+        # frontends matched 2f+1 copies upstream; f+1 valid signatures
+        # prove a correct node vouched for the merged block
+        return SignatureCountPolicy(
+            one_correct_size(self.config.f), self.registry, self.orderer_names
+        )
 
     @property
     def leader_node(self) -> BFTOrderingNode:
@@ -409,27 +465,102 @@ class OrderingService(BFTService):
         return future, node
 
 
+@dataclass
+class CFTService(OrderingDeployment):
+    """Solo or Kafka: one orderer node, ``orderer0``, delivering blocks
+    straight to peers (Kafka's brokers are ``nodes[0].cluster``)."""
+
+    def submit(self, envelope: Envelope, frontend_index: int = 0) -> None:
+        self.nodes[0].submit(envelope)
+
+    def attach_peer(self, peer: Any) -> None:
+        self.network.register(peer.name, peer)
+        self.nodes[0].attach_receiver(peer.name)
+
+    def block_policy(self) -> BlockValidityPolicy:
+        return AcceptAllBlocks()
+
+    def dissemination_bytes(self) -> int:
+        """Bytes from orderer0 to its peers (not Kafka's ``Produce``s)."""
+        orderer = self.nodes[0]
+        sent = self.network.stats.bytes_by_src.get(orderer.name, {})
+        return int(sum(sent.get(peer, 0) for peer in orderer.receivers))
+
+    def delivery_latency(self) -> Histogram:
+        return self.metrics.histogram(f"ordering.node.{self.nodes[0].name}.latency")
+
+
+#: every backend :func:`build_ordering_service` stands up
+ORDERERS = ("solo", "kafka", "bftsmart", "smartbft")
+#: Kafka's broker ensemble size, fixed for every caller
+KAFKA_BROKERS = 3
+
+
+def _build_cft_service(
+    config: OrderingServiceConfig, sim: Optional[Simulator], observability: Optional[Any]
+) -> CFTService:
+    """Stand up solo or Kafka with one orderer node, ``orderer0``."""
+    from repro.fabric.orderers import KafkaCluster, KafkaOrderer, SoloOrderer
+
+    # settings a crash-fault backend would otherwise ignore silently
+    for name, value in (
+        ("admission", config.admission),
+        ("durable_wal", config.durable_wal),
+        ("observability", observability),
+    ):
+        if value not in (None, False):
+            raise ValueError(f"the {config.orderer} orderer does not support {name}")
+    scaffold = DeploymentScaffold(config, sim, None)
+    sim, network = scaffold.sim, scaffold.network
+    identity = scaffold.registry.enroll("orderer0", org="ordererorg0")
+    common = dict(
+        cpu=make_node_cpu(sim, config),
+        signing_workers=config.signing_workers,
+        metrics=scaffold.metrics,
+    )
+    if config.orderer == "solo":
+        orderer = SoloOrderer(sim, network, "orderer0", identity, config.channel, **common)
+        network.register(orderer.name, orderer)
+    else:
+        cluster = KafkaCluster(sim, network, num_brokers=KAFKA_BROKERS)
+        orderer = KafkaOrderer(
+            sim, network, "orderer0", identity, cluster, config.channel, **common
+        )
+    return CFTService(
+        sim=sim,
+        network=network,
+        config=config,
+        registry=scaffold.registry,
+        nodes=[orderer],
+        metrics=scaffold.metrics,
+    )
+
+
 def build_ordering_service(
     config: Optional[OrderingServiceConfig] = None,
     sim: Optional[Simulator] = None,
     observability: Optional[Any] = None,
-) -> BFTService:
+) -> Union[BFTService, CFTService]:
     """Stand up a complete ordering service on a fresh simulator.
 
+    ``config.orderer`` picks the backend (one of :data:`ORDERERS`).
     ``observability`` optionally receives a
-    :class:`repro.obs.Observability` hub; it is attached to every
-    component (network, replicas, nodes, frontends, proxies) so the
-    deployment emits metrics and consensus spans as it runs.
+    :class:`repro.obs.Observability` hub; on the BFT backends it is
+    attached to every component (network, replicas, nodes, frontends,
+    proxies) so the deployment emits metrics and consensus spans as it
+    runs.
     """
     config = config or OrderingServiceConfig()
+    if config.orderer not in ORDERERS:
+        raise ValueError(
+            f"unknown orderer {config.orderer!r}; expected one of {ORDERERS}"
+        )
+    if config.orderer in ("solo", "kafka"):
+        return _build_cft_service(config, sim, observability)
     if config.orderer == "smartbft":
         from repro.smart2.deployment import build_smartbft_service
 
         return build_smartbft_service(config, sim=sim, observability=observability)
-    if config.orderer != "bftsmart":
-        raise ValueError(
-            f"unknown orderer {config.orderer!r}; expected 'bftsmart' or 'smartbft'"
-        )
     scaffold = ServiceScaffold(config, sim, observability)
     sim, network, view = scaffold.sim, scaffold.network, scaffold.view
     node_sites = scaffold.node_sites

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional
 
+from repro.fabric.blockpolicy import BlockValidityPolicy, SignatureQuorumPolicy
 from repro.ordering.service import (
     BFTService,
     OrderingServiceConfig,
@@ -34,6 +35,11 @@ class SmartBFTService(BFTService):
     iterate ``service.replicas`` and ``service.nodes`` respectively --
     working unchanged.
     """
+
+    def block_policy(self) -> BlockValidityPolicy:
+        return SignatureQuorumPolicy(
+            self.config.f, registry=self.registry, orderer_names=self.orderer_names
+        )
 
 
 def build_smartbft_service(

@@ -22,9 +22,9 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 from repro.crypto.keys import KeyRegistry
 from repro.fabric.api import BlockDelivery, SubmitEnvelope
 from repro.fabric.block import Block
-from repro.fabric.envelope import Envelope
+from repro.fabric.envelope import Envelope, OversizedPayloadError
 from repro.obs.registry import MetricsRegistry
-from repro.ordering.admission import AdmissionController, Rejected
+from repro.ordering.admission import OVERSIZED, AdmissionController, Rejected
 from repro.ordering.frontend import FrontendCore
 from repro.sim.core import Simulator
 from repro.sim.network import Network
@@ -161,7 +161,12 @@ class QuorumFrontend(FrontendCore):
 
     def deliver(self, src, message) -> None:
         if isinstance(message, SubmitEnvelope):
-            self.submit(message.envelope)
+            try:
+                self.submit(message.envelope)
+            except OversizedPayloadError:
+                # refused explicitly (the obs hub counts it), never
+                # raised into the event loop
+                self._reject(message.envelope, OVERSIZED)
         elif isinstance(message, BlockDelivery):
             self._on_block_copy(message.source, message.block)
 

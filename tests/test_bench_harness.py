@@ -9,6 +9,7 @@ benchmark) run in tier-1; the full smoke-suite execution is marked
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -485,6 +486,32 @@ class TestRecoveryBenchmark:
         monkeypatch.setattr(ServiceReplica, "recover", lambda self: None)
         with pytest.raises(RuntimeError, match="replica 1 did not rejoin"):
             run_benchmark(REGISTRY.get("recovery_time"), mode="smoke")
+
+
+class TestCommittedSmokeRows:
+    """The orderer benchmarks reproduce their committed smoke rows
+    exactly: the simulator is deterministic, so any drift in a metric
+    value is a behaviour change, not noise."""
+
+    BASELINE = Path(__file__).resolve().parents[1] / "benchmarks/baselines/BENCH_smoke.json"
+
+    @pytest.mark.parametrize("name", ["baseline_orderers", "bakeoff_orderers"])
+    def test_rows_match_committed_baseline(self, name):
+        committed = {
+            json.dumps(point["params"], sort_keys=True): point["metrics"]
+            for bench in load_result(str(self.BASELINE))["benchmarks"]
+            if bench["benchmark"] == name
+            for point in bench["points"]
+        }
+        result = run_suite([REGISTRY.get(name)], run_name="smoke", mode="smoke")
+        fresh = json.loads(json.dumps(result.to_json_dict()))["benchmarks"][0]
+        rows = {
+            json.dumps(point["params"], sort_keys=True): point["metrics"]
+            for point in fresh["points"]
+        }
+        assert rows.keys() == committed.keys()
+        for params, metrics in rows.items():
+            assert metrics == committed[params], params
 
 
 @pytest.mark.bench

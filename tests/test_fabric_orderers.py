@@ -5,7 +5,7 @@ import pytest
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import SimulatedECDSA
 from repro.fabric.channel import ChannelConfig
-from repro.fabric.envelope import Envelope
+from repro.fabric.envelope import Envelope, OversizedPayloadError
 from repro.fabric.orderers import KafkaCluster, KafkaOrderer, SoloOrderer
 from repro.sim import ConstantLatency, Network, Simulator
 
@@ -179,3 +179,38 @@ class TestKafkaOrderer:
         assert nodes[0].blocks_created >= 1
         # the chains have forked: same heights, different hashes
         assert nodes[0].previous_hash != nodes[1].previous_hash
+
+
+class TestAbsoluteMaxBytes:
+    """Solo and Kafka enforce the channel's AbsoluteMaxBytes themselves."""
+
+    CHANNEL = ChannelConfig(
+        "ch0", max_message_count=1, absolute_max_bytes=1000, batch_timeout=0.5
+    )
+
+    def _orderer(self, env, kind):
+        sim, network, registry = env
+        identity = registry.enroll("orderer0")
+        if kind == "solo":
+            orderer = SoloOrderer(sim, network, "orderer0", identity, self.CHANNEL)
+            network.register("orderer0", orderer)
+        else:
+            cluster = KafkaCluster(sim, network, num_brokers=3)
+            orderer = KafkaOrderer(
+                sim, network, "orderer0", identity, cluster, self.CHANNEL
+            )
+        sink = Sink()
+        network.register("sink", sink)
+        orderer.attach_receiver("sink")
+        return orderer, sink
+
+    @pytest.mark.parametrize("kind", ["solo", "kafka"])
+    def test_direct_submit_over_ceiling_raises(self, env, kind):
+        sim, _network, _registry = env
+        orderer, sink = self._orderer(env, kind)
+        with pytest.raises(OversizedPayloadError):
+            orderer.submit(Envelope.raw("ch0", 5000))
+        orderer.submit(Envelope.raw("ch0", 1000))  # at the ceiling: ordered
+        sim.run(until=2.0)
+        assert orderer.blocks_created == 1
+        assert [len(block.envelopes) for block in sink.blocks] == [1]

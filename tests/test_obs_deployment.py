@@ -67,7 +67,7 @@ def test_cft_orderer_records_into_the_run_registry(backend):
         backend, WorkloadSpec(num_envelopes=ENVELOPES, block_size=BLOCK_SIZE)
     )
     assert run.finished
-    metrics = run.extras["metrics"]
+    metrics = run.service.metrics
     committed = len(run.committed_flat_ids)
     assert committed == ENVELOPES
     assert metrics.meter("ordering.node.orderer0.envelopes").total == committed

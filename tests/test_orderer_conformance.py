@@ -17,6 +17,7 @@ import pytest
 
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import SimulatedECDSA
+from repro.fabric.api import SubmitEnvelope
 from repro.fabric.block import make_block
 from repro.fabric.blockpolicy import (
     AcceptAllBlocks,
@@ -27,10 +28,13 @@ from repro.fabric.blockpolicy import (
 from repro.fabric.channel import ChannelConfig
 from repro.fabric.committer import CommittingPeer
 from repro.fabric.envelope import Envelope
-from repro.ordering.backends import (
-    BACKENDS,
-    WorkloadSpec,
-    run_backend_workload,
+from repro.obs import Observability
+from repro.ordering.backends import WorkloadSpec, run_backend_workload
+from repro.ordering.service import (
+    FRONTEND_ID_BASE,
+    ORDERERS,
+    OrderingServiceConfig,
+    build_ordering_service,
 )
 from repro.sim.core import Simulator
 from repro.sim.network import ConstantLatency, Network
@@ -61,7 +65,7 @@ def get_run(backend: str, spec: WorkloadSpec):
 # ----------------------------------------------------------------------
 # identical committed-block semantics
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", ORDERERS)
 @pytest.mark.parametrize("spec", [STANDARD, BYTES_BOUND], ids=["standard", "bytes"])
 def test_backend_commits_workload(backend, spec):
     run = get_run(backend, spec)
@@ -70,7 +74,7 @@ def test_backend_commits_workload(backend, spec):
     assert len(run.committed_flat_ids) == expected
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", ORDERERS)
 @pytest.mark.parametrize("spec", [STANDARD, BYTES_BOUND], ids=["standard", "bytes"])
 def test_chain_identical_across_backends(backend, spec):
     """The whole point: byte-identical header chains on every backend."""
@@ -80,7 +84,7 @@ def test_chain_identical_across_backends(backend, spec):
     assert run.committed_envelope_ids == reference.committed_envelope_ids
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", ORDERERS)
 def test_no_duplicates_and_fifo_order(backend):
     run = get_run(backend, STANDARD)
     ids = run.committed_flat_ids
@@ -88,7 +92,7 @@ def test_no_duplicates_and_fifo_order(backend):
     assert ids == sorted(ids), "single-client FIFO order was not preserved"
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", ORDERERS)
 def test_oversized_envelope_rejected_at_ingress(backend):
     """AbsoluteMaxBytes: the oversized envelope never reaches a block."""
     run = get_run(backend, STANDARD)
@@ -96,7 +100,7 @@ def test_oversized_envelope_rejected_at_ingress(backend):
     assert 5 not in run.committed_flat_ids
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", ORDERERS)
 def test_count_cutting_and_timeout_tail(backend):
     """Blocks cut at max_message_count; the partial tail cuts on timeout."""
     run = get_run(backend, STANDARD)
@@ -106,7 +110,7 @@ def test_count_cutting_and_timeout_tail(backend):
     assert sizes[-1] == 3
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", ORDERERS)
 def test_preferred_max_bytes_cutting(backend):
     """PreferredMaxBytes: byte-bound cuts happen identically everywhere."""
     run = get_run(backend, BYTES_BOUND)
@@ -117,12 +121,103 @@ def test_preferred_max_bytes_cutting(backend):
 
 def test_no_fork_across_backends():
     """No backend diverges from any other on the same prefix."""
-    chains = {b: get_run(b, STANDARD).header_digests for b in BACKENDS}
+    chains = {b: get_run(b, STANDARD).header_digests for b in ORDERERS}
     lengths = {len(c) for c in chains.values()}
     assert len(lengths) == 1
-    first = chains[BACKENDS[0]]
+    first = chains[ORDERERS[0]]
     for backend, chain in chains.items():
-        assert chain == first, f"{backend} forked from {BACKENDS[0]}"
+        assert chain == first, f"{backend} forked from {ORDERERS[0]}"
+
+
+# ----------------------------------------------------------------------
+# one service surface: every backend built by build_ordering_service
+# ----------------------------------------------------------------------
+#: the policy each backend's committer is armed with
+EXPECTED_POLICY = {
+    "solo": AcceptAllBlocks,
+    "kafka": AcceptAllBlocks,
+    "bftsmart": SignatureCountPolicy,
+    "smartbft": SignatureQuorumPolicy,
+}
+
+
+@pytest.mark.parametrize("backend", ORDERERS)
+def test_service_surface(backend):
+    run = get_run(backend, STANDARD)
+    service = run.service
+    policy = service.block_policy()
+    assert type(policy) is EXPECTED_POLICY[backend]
+    if backend == "bftsmart":
+        assert policy.required == one_correct_size(STANDARD.f)
+    n = 1 if backend in ("solo", "kafka") else 3 * STANDARD.f + 1
+    assert service.orderer_names == {f"orderer{i}" for i in range(n)}
+    assert run.dissemination_bytes == service.dissemination_bytes() > 0
+    committed = len(run.committed_flat_ids)
+    assert service.delivery_latency().count == committed
+
+
+#: (ingress endpoint, counter of envelopes it refused as oversized)
+WIRE_INGRESS = {
+    "solo": ("orderer0", "ordering.node.orderer0.rejected.oversized"),
+    "kafka": ("orderer0", "ordering.node.orderer0.rejected.oversized"),
+    "bftsmart": (
+        FRONTEND_ID_BASE,
+        f"ordering.frontend.{FRONTEND_ID_BASE}.rejected.oversized",
+    ),
+    "smartbft": (
+        FRONTEND_ID_BASE,
+        f"ordering.frontend.{FRONTEND_ID_BASE}.rejected.oversized",
+    ),
+}
+
+
+class _Client:
+    def deliver(self, src, message):
+        pass
+
+
+@pytest.mark.parametrize("backend", ORDERERS)
+def test_oversized_envelope_over_the_wire_is_refused_not_raised(backend):
+    """A client's oversized ``SubmitEnvelope`` is dropped and counted at
+    the ingress endpoint; the run goes on and the next envelope commits."""
+    channel = ChannelConfig(
+        "ch0", max_message_count=1, absolute_max_bytes=1000, batch_timeout=0.25
+    )
+    config = OrderingServiceConfig(
+        orderer=backend,
+        channel=channel,
+        physical_cores=None,
+        enable_batch_timeout=True,
+    )
+    cft = backend in ("solo", "kafka")
+    service = build_ordering_service(
+        config, observability=None if cft else Observability()
+    )
+    peer = CommittingPeer(
+        service.sim,
+        service.network,
+        "peer0",
+        channel,
+        registry=service.registry,
+        orderer_names=service.orderer_names,
+        block_policy=service.block_policy(),
+    )
+    service.attach_peer(peer)
+    service.network.register("client0", _Client())
+    ingress, counter = WIRE_INGRESS[backend]
+    oversized = Envelope.raw("ch0", payload_size=5000, submitter="client0")
+    normal = Envelope.raw("ch0", payload_size=200, submitter="client0")
+    for at, envelope in ((0.001, oversized), (0.01, normal)):
+        message = SubmitEnvelope(envelope)
+        service.sim.schedule_at(
+            at, service.network.send, "client0", ingress, message, message.wire_size()
+        )
+    finished = service.sim.run_until(lambda: len(peer.commits) >= 1, deadline=10.0)
+    service.run(1.0)
+    assert finished
+    committed = [e.envelope_id for r in peer.commits for e in r.block.envelopes]
+    assert committed == [normal.envelope_id]
+    assert service.metrics.counter(counter).value == 1
 
 
 # ----------------------------------------------------------------------
@@ -130,7 +225,7 @@ def test_no_fork_across_backends():
 # ----------------------------------------------------------------------
 def test_smartbft_blocks_carry_signature_quorum():
     run = get_run("smartbft", STANDARD)
-    service = run.extras["service"]
+    service = run.service
     quorum = byzantine_majority_size(STANDARD.f)
     names = {f"orderer{i}" for i in range(service.config.n)}
     for block in run.committed_blocks:
@@ -144,7 +239,7 @@ def test_smartbft_blocks_carry_signature_quorum():
 def test_bftsmart_blocks_carry_merged_signatures():
     """Copy-matching merges signatures: at least f+1 land on the block."""
     run = get_run("bftsmart", STANDARD)
-    service = run.extras["service"]
+    service = run.service
     names = {f"orderer{i}" for i in range(service.config.n)}
     for block in run.committed_blocks:
         valid = count_valid_signatures(block, service.registry, names)

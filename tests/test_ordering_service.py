@@ -1,10 +1,12 @@
 """Integration tests for the complete BFT ordering service."""
 
+import pytest
 
 from repro.fabric.api import BlockDelivery
 from repro.fabric.channel import ChannelConfig
 from repro.fabric.envelope import Envelope
-from repro.ordering import OrderingServiceConfig, build_ordering_service
+from repro.obs import Observability
+from repro.ordering import AdmissionConfig, OrderingServiceConfig, build_ordering_service
 
 
 def build(max_count=10, num_frontends=1, enable_ttc=False, cores=None, **kwargs):
@@ -206,3 +208,25 @@ class TestWheatService:
             replica.counters.tentative_executions > 0
             for replica in service.replicas
         )
+
+
+class TestBackendDispatch:
+    def test_unknown_orderer_lists_every_backend(self):
+        with pytest.raises(ValueError) as info:
+            build_ordering_service(OrderingServiceConfig(orderer="raft"))
+        for name in ("solo", "kafka", "bftsmart", "smartbft"):
+            assert name in str(info.value)
+
+    @pytest.mark.parametrize("orderer", ["solo", "kafka"])
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [
+            ("admission", {"config": {"admission": AdmissionConfig()}}),
+            ("durable_wal", {"config": {"durable_wal": True}}),
+            ("observability", {"observability": Observability()}),
+        ],
+    )
+    def test_cft_backend_refuses_ignored_settings(self, orderer, field, kwargs):
+        config = OrderingServiceConfig(orderer=orderer, **kwargs.get("config", {}))
+        with pytest.raises(ValueError, match=field):
+            build_ordering_service(config, observability=kwargs.get("observability"))
